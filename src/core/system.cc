@@ -26,8 +26,7 @@ System::System(const SystemConfig &cfg, ExecPolicy policy)
     : cfg_(cfg),
       policy_(policy),
       partitioned_(policy.simJobs > 1),
-      collapsed_(policy.simJobs <= 1 && policy.collapseSequential),
-      eq_(masterHeapHint(cfg, policy)),
+      eq_(hostHeapHint(cfg, partitioned_)),
       map_(cfg_)
 {
     cfg_.validate();
@@ -36,21 +35,19 @@ System::System(const SystemConfig &cfg, ExecPolicy policy)
 
     profiles_.resize(std::size_t(cfg_.numChannels) + 1);
 
-    // Channel domains exist in every mode: the canonical event order
-    // is the multi-queue merge key, realized by the sequential merge
-    // driver (one thread, stepSim) and the windowed driver (worker
-    // gang) alike, so results are bit-identical for every simJobs.
-    if (collapsed_)
-        eq_.setOwnRank(cfg_.numChannels);
+    // Channel domains exist in every mode, each named by its (source
+    // id, rank). Sequentially every channel queue forwards into the
+    // host queue, so the canonical order is what that one heap pops;
+    // the windowed driver gives each domain its own heap.
+    eq_.setDomain(0, cfg_.numChannels);
     for (std::uint16_t ch = 0; ch < cfg_.numChannels; ++ch) {
-        // Collapsed facades never hold events (every schedule lands
-        // in the master heap, which masterHeapHint sized for the sum)
-        // so they skip the per-channel reservation.
+        // Forwarding queues never hold events (the host queue's hint
+        // covers them), so they skip the per-channel reservation.
         chEqs_.push_back(std::make_unique<EventQueue>(
-            collapsed_ ? 1 : channelHeapHint(cfg_)));
-        chEqs_[ch]->setSourceId(std::uint16_t(ch + 1));
-        if (collapsed_)
-            chEqs_[ch]->collapseInto(&eq_, ch);
+            partitioned_ ? channelHeapHint(cfg_) : 1));
+        chEqs_[ch]->setDomain(std::uint16_t(ch + 1), ch);
+        if (!partitioned_)
+            chEqs_[ch]->bindKey(&eq_, true);
     }
     if (partitioned_) {
         creditCtxs_.reserve(cfg_.numChannels);
@@ -292,96 +289,16 @@ System::enableSampling(std::ostream &os, Tick interval)
 bool
 System::stepSim(bool burst)
 {
-    // Canonical-order merge across the channel queues and the host
-    // queue: execute the earliest head under (tick, priority, stamp,
-    // source); a full tie falls to the scan order — channels first,
-    // in channel order, then the host — mirroring the phase order of
-    // the windowed driver. Full ties only arise between events with
-    // no ordering constraint (e.g. one host event delivering into
-    // two different channels), so the pick never changes results.
-    // `second` tracks the runner-up head so the burst loop below can
-    // keep executing from `best` without re-reading 17 heap fronts
-    // per event.
-    // Collapsed mode: one heap already holds the canonical order, so
-    // stepping is exactly the classic single-queue loop — no scan, no
-    // runner-up, no preemption bound, no merged-clock broadcast (the
-    // facades read the master's own clock via clockPtr). The
-    // single-step form exists for the CGA drain poll, which must see
-    // every event boundary.
-    if (collapsed_) {
-        if (!eq_.step())
-            return false;
-        if (sampler_)
-            sampler_->poll();
-        while (burst && eq_.step()) {
-            if (sampler_)
-                sampler_->poll();
-        }
-        return true;
-    }
-
-    EventQueue *best = nullptr;
-    const EventQueue *second = nullptr;
-    auto consider = [&](EventQueue *q) {
-        if (q->empty())
-            return;
-        if (!best) {
-            best = q;
-        } else if (q->frontBefore(*best)) {
-            second = best;
-            best = q;
-        } else if (!second || q->frontBefore(*second)) {
-            second = q;
-        }
-    };
-    for (auto &q : chEqs_)
-        consider(q.get());
-    consider(&eq_);
-    if (!best)
+    // One heap holds every domain's events in canonical order. The
+    // single-step form exists for the coherence-flush and CGA drain
+    // polls, which must see every event boundary.
+    if (!eq_.step())
         return false;
-
-    // Only the executing queue runs on its own clock and stamps with
-    // its own source id; every other queue reads the merged clock
-    // and records (merged tick, source 0) on anything scheduled into
-    // it — the windowed driver's setExternalSource discipline for
-    // host->channel deliveries, and a no-op for the host queue whose
-    // own id is 0. The routing also wires crossMin_ so the earliest
-    // key pushed into any non-executing queue is visible below.
-    if (best != mergedExec_) {
-        if (mergedExec_)
-            mergedExec_->setExternalNow(&mergedNow_, 0, &crossMin_,
-                                        &crossMinValid_);
-        best->clearExternalNow();
-        mergedExec_ = best;
-    }
-    // The scan above read every live front, so accumulated pushes
-    // are already accounted for; start the burst bound fresh.
-    crossMinValid_ = false;
-
-    // Burst: events cluster by domain (an SM's collect chain on the
-    // host queue, a DRAM timing cascade on a channel queue), so keep
-    // stepping `best` while its head still sorts strictly before the
-    // runner-up captured above AND before the earliest key pushed
-    // into any other queue since the scan (crossMin_). Most
-    // cross-domain pushes carry the interconnect latency and land
-    // far in the future, so they don't end the burst — only a push
-    // that could actually preempt does. Any such push, tie, or
-    // exhaustion falls back to a full rescan on the next call; the
-    // executed sequence is identical to the one-event-per-scan
-    // driver, just cheaper to find. The merged clock needs no
-    // per-event broadcast either: non-executing queues *read* their
-    // time through mergedNow_ (see EventQueue::now).
-    for (;;) {
-        mergedNow_ = best->nextTick();
-        best->step();
+    if (sampler_)
+        sampler_->poll();
+    while (burst && eq_.step()) {
         if (sampler_)
             sampler_->poll();
-        if (!burst || best->empty())
-            break;
-        if (crossMinValid_ && !best->frontBefore(crossMin_))
-            break;
-        if (second && !best->frontBefore(*second))
-            break;
     }
     return true;
 }
@@ -439,22 +356,6 @@ System::run()
 RunMetrics
 System::runSequential()
 {
-    if (collapsed_) {
-        // One heap holds everything; the facades only need their
-        // clock routed to the master's own tick. No min-push sink: a
-        // push into the master is just a heap insert the drive loop
-        // will pop in order, not a cross-queue preemption.
-        eq_.beginCollapsedRun();
-        for (auto &q : chEqs_)
-            q->setExternalNow(eq_.clockPtr(), 0);
-    } else {
-        eq_.setExternalNow(&mergedNow_, 0, &crossMin_,
-                           &crossMinValid_);
-        for (auto &q : chEqs_)
-            q->setExternalNow(&mergedNow_, 0, &crossMin_,
-                              &crossMinValid_);
-    }
-
     bool cga_phase =
         cfg_.arbitration == ArbitrationGranularity::Coarse &&
         hasKernel_ && hasHostTraffic_;
@@ -530,19 +431,23 @@ System::runSequential()
  *      channel-owned state; host-bound effects go to the mailbox.
  *   2. barrier, then the host drains the mailboxes in channel order,
  *      scheduling each message on the host queue at its applyTick
- *      under the sending domain's (stamp, source id).
+ *      under the sending domain's (stamp, source id) (scheduleKeyed).
  *   3. host phase: the host queue runs to `end`. Host->channel
  *      deliveries go through pipe stages whose queues belong to the
- *      channels; those queues stamp with the host tick via
- *      setExternalSource. Every such arrival carries >= lookahead of
- *      wire latency, so it lands at or after `end` — the channels
- *      never miss an input produced inside their own window.
+ *      channels; those queues derive their key from the host queue
+ *      (bindKey without forwarding). Every such arrival carries
+ *      >= lookahead of wire latency, so it lands at or after `end` —
+ *      the channels never miss an input produced inside their own
+ *      window.
  *
  * Safety: within a window the host trails the channels (it consumes
  * their mailbox output), and the channels never see host work of the
- * same window. Determinism: all cross-domain events merge by
- * (tick, priority, stamp, source, sequence), independent of worker
- * count and scheduling interleavings.
+ * same window. Determinism: every queue pops by the canonical key
+ * (tick, priority, stamp, source, rank, sequence), so results do not
+ * depend on the worker count or on scheduling interleavings. They
+ * match the sequential driver except under concurrent host traffic,
+ * where the barrier-time replay of step 2 can order a mailbox message
+ * differently (docs/INTERNALS.md section 12).
  */
 RunMetrics
 System::runPartitioned()
@@ -668,13 +573,12 @@ System::drainMailboxes()
         DomainMailbox &box = *mailboxes_[ch];
         for (std::size_t i = 0; i < box.size(); ++i) {
             const CrossMsg *m = &box[i];
-            EventQueue::ExternalScope scope(
-                eq_, m->stamp, std::uint16_t(ch + 1));
             // The message outlives the callback: arena storage is
             // recycled only at the *next* window's channel phase,
             // after every applyTick of this window has executed.
-            eq_.schedule(m->applyTick,
-                         [this, m] { applyCrossMsg(*m); }, m->prio);
+            eq_.scheduleKeyed(
+                m->applyTick, [this, m] { applyCrossMsg(*m); },
+                m->prio, m->stamp, std::uint16_t(ch + 1));
         }
     }
 }
@@ -682,10 +586,10 @@ System::drainMailboxes()
 void
 System::hostPhase(Tick end)
 {
-    // While the host runs, channel queues are quiescent; stamp any
-    // host->channel arrival with the host tick that produced it.
+    // While the host runs, channel queues are quiescent; key any
+    // host->channel arrival by the host tick that produced it.
     for (auto &q : chEqs_)
-        q->setExternalSource(&eq_, 0);
+        q->bindKey(&eq_, false);
 
     DomainProfile &prof = profiles_[0];
     bool inWindow = !eq_.empty() && eq_.nextTick() < end;
@@ -705,7 +609,7 @@ System::hostPhase(Tick end)
         ++prof.stallWindows;
 
     for (auto &q : chEqs_)
-        q->clearExternalSource();
+        q->bindKey(nullptr, false);
 }
 
 void

@@ -47,9 +47,11 @@ class System
      * channel-partitioned execution: each channel's L2 slice, memory
      * controller, DRAM timing engine and PIM unit live in their own
      * event domain advanced in parallel under conservative lookahead
-     * (see sim/event_domain.hh); results are bit-identical to
-     * simJobs=1 for every worker count. The policy never enters
-     * SystemConfig (fingerprints must not depend on worker counts).
+     * (see sim/event_domain.hh); results are bit-identical for every
+     * worker count, and to simJobs=1 except in runs with concurrent
+     * host traffic (docs/INTERNALS.md section 12). The policy never
+     * enters SystemConfig (fingerprints must not depend on worker
+     * counts).
      */
     explicit System(const SystemConfig &cfg, ExecPolicy policy = {});
     System(const System &) = delete;
@@ -191,26 +193,20 @@ class System
      *  concurrently pending DRAM-side events; x8 covers the pipe
      *  stages and wakeups layered on top plus the window-barrier
      *  spike, when every channel's mailbox replays into the host
-     *  queue at once (the no-regrow tests pin this). */
-    static std::size_t
-    hostHeapHint(const SystemConfig &cfg)
-    {
-        return std::size_t(cfg.numChannels) * cfg.banksPerChannel * 8;
-    }
+     *  queue at once (the no-regrow tests pin this). A sequential
+     *  host queue also holds the events its channel queues forward,
+     *  so it reserves their share too. */
     static std::size_t
     channelHeapHint(const SystemConfig &cfg)
     {
         return std::size_t(cfg.banksPerChannel) * 16;
     }
-
-    /** Host-queue reservation: the collapsed driver holds every
-     *  domain's pending events in the one master heap, so it gets
-     *  the sum of what the per-domain queues would have reserved. */
     static std::size_t
-    masterHeapHint(const SystemConfig &cfg, const ExecPolicy &policy)
+    hostHeapHint(const SystemConfig &cfg, bool partitioned)
     {
-        std::size_t n = hostHeapHint(cfg);
-        if (policy.simJobs <= 1 && policy.collapseSequential)
+        std::size_t n =
+            std::size_t(cfg.numChannels) * cfg.banksPerChannel * 8;
+        if (!partitioned)
             n += std::size_t(cfg.numChannels) * channelHeapHint(cfg);
         return n;
     }
@@ -218,7 +214,6 @@ class System
     SystemConfig cfg_;
     ExecPolicy policy_;
     bool partitioned_ = false;
-    bool collapsed_ = false;
     EventQueue eq_; ///< host-domain queue (SMs, icnt, host stream)
     StatSet stats_;
     SparseMemory mem_;
@@ -231,14 +226,6 @@ class System
     std::vector<DomainProfile> profiles_;
     Tick lookahead_ = 0;
     std::uint64_t windows_ = 0;
-
-    // Sequential merge driver state (see stepSim). Non-executing
-    // queues read mergedNow_ as their clock and fold the key of
-    // anything scheduled into them into crossMin_.
-    Tick mergedNow_ = 0;
-    EventQueue *mergedExec_ = nullptr;
-    EventQueue::FrontKey crossMin_{};
-    bool crossMinValid_ = false;
 
     std::vector<std::unique_ptr<ChannelTiming>> timings_;
     std::vector<std::unique_ptr<PimUnit>> pims_;

@@ -23,12 +23,15 @@
  * and consumes their outputs through mailboxes, so it observes every
  * channel effect at the exact tick a global queue would have.
  *
- * Determinism: mailbox messages carry the sending domain's
- * (scheduling tick, domain id) and are drained in channel order at
- * the barrier; the receiving queue merges them by
- * (tick, priority, stamp, source id, sequence) — see
- * sim/event_queue.hh — so results are bit-identical for every
- * worker count, which the golden byte-identity tests enforce.
+ * Determinism: mailbox messages carry the sending event's
+ * (stamp, priority) and are drained in channel order at the barrier,
+ * each replayed under its channel's source id; the host queue pops
+ * them by the canonical (tick, priority, stamp, source id, domain
+ * rank, sequence) key — see sim/event_queue.hh — so results are
+ * bit-identical for every worker count, which the golden
+ * byte-identity tests enforce. They also match the sequential
+ * driver, except in runs with concurrent host traffic
+ * (docs/INTERNALS.md section 12).
  *
  * Memory discipline: each mailbox draws its storage from a
  * per-domain Arena reset at the barrier, per-domain counters are
@@ -85,13 +88,6 @@ struct ExecPolicy
     /** Collect per-domain self-profiling (execution time, lookahead
      *  stalls, mailbox traffic) for --profile-domains output. */
     bool profileDomains = false;
-
-    /** simJobs==1 only: collapse every channel domain into the host
-     *  queue (EventQueue::collapseInto) so a sequential run pops the
-     *  canonical order from one heap instead of merging 17. Results
-     *  are bit-identical either way; tests set this false to pin the
-     *  multi-queue merge driver against the collapsed fast path. */
-    bool collapseSequential = true;
 };
 
 /** Self-profiling counters of one event domain (padded: each domain

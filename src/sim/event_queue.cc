@@ -10,18 +10,6 @@ namespace olight
 void
 EventQueue::push(Entry entry)
 {
-    if (extMinPush_) {
-        FrontKey &k = *extMinPush_;
-        const bool better =
-            !*extMinPushValid_ || entry.when < k.when ||
-            (entry.when == k.when &&
-             (entry.order < k.order ||
-              (entry.order == k.order && entry.src() < k.src)));
-        if (better) {
-            k = FrontKey{entry.when, entry.order, entry.src()};
-            *extMinPushValid_ = true;
-        }
-    }
     if (heap_.size() == heap_.capacity())
         ++regrows_;
     // Hole-based sift-up: move parents down into the hole until the
@@ -71,68 +59,52 @@ EventQueue::popTop()
 }
 
 void
-EventQueue::schedule(Tick when, Callback cb, EventPriority prio)
+EventQueue::pastFatal(Tick when, Tick now)
 {
-    if (collapse_) {
-        collapse_->collapsedPush(when, std::move(cb), prio,
-                                 collapseRank_, ownSrc_);
-        return;
-    }
     // olight_fatal, not a debug-only assert: scheduling in the past
     // would silently misorder the simulation, so the check must stay
     // visible in release builds too.
-    if (when < now_)
-        olight_fatal("event scheduled in the past: when=", when,
-                     " now=", now_);
-    push(Entry{when,
-               packOrder(std::uint8_t(static_cast<int>(prio)),
-                         scheduleStamp()),
-               packOrder2(scheduleSrc(), ownRank_, nextSeq_++),
-               std::move(cb)});
+    olight_fatal("event scheduled in the past: when=", when, " now=",
+                 now);
+}
+
+void
+EventQueue::schedule(Tick when, Callback cb, EventPriority prio)
+{
+    EventQueue &q = heapFor(when);
+    q.push(Entry{when, packOrder(prio, keyStamp()),
+                 packOrder2(keySrc(), rank_, q.nextSeq_++),
+                 std::move(cb)});
+}
+
+void
+EventQueue::scheduleKeyed(Tick when, Callback cb, EventPriority prio,
+                          Tick stamp, std::uint16_t src)
+{
+    EventQueue &q = heapFor(when);
+    q.push(Entry{when, packOrder(prio, stamp),
+                 packOrder2(checkRank8(src), rank_, q.nextSeq_++),
+                 std::move(cb)});
 }
 
 void
 EventQueue::scheduleAt(Tick when, RawFn fn, void *ctx,
                        EventPriority prio)
 {
-    if (collapse_) {
-        collapse_->collapsedPush(when, Callback(fn, ctx), prio,
-                                 collapseRank_, ownSrc_);
-        return;
-    }
-    if (when < now_)
-        olight_fatal("event scheduled in the past: when=", when,
-                     " now=", now_);
-    push(Entry{when,
-               packOrder(std::uint8_t(static_cast<int>(prio)),
-                         scheduleStamp()),
-               packOrder2(scheduleSrc(), ownRank_, nextSeq_++),
-               Callback(fn, ctx)});
+    EventQueue &q = heapFor(when);
+    q.push(Entry{when, packOrder(prio, keyStamp()),
+                 packOrder2(keySrc(), rank_, q.nextSeq_++),
+                 Callback(fn, ctx)});
 }
 
 void
 EventQueue::scheduleAtBatch(const Tick *whens, std::size_t n,
                             RawFn fn, void *ctx, EventPriority prio)
 {
-    if (!collapse_)
-        heap_.reserve(heap_.size() + n);
+    std::vector<Entry> &heap = (forward_ ? *key_ : *this).heap_;
+    heap.reserve(heap.size() + n);
     for (std::size_t i = 0; i < n; ++i)
         scheduleAt(whens[i], fn, ctx, prio);
-}
-
-void
-EventQueue::collapsedPush(Tick when, Callback cb, EventPriority prio,
-                          std::uint16_t rank, std::uint16_t facadeSrc)
-{
-    if (when < now_)
-        olight_fatal("event scheduled in the past: when=", when,
-                     " now=", now_);
-    const std::uint16_t src =
-        (execDom_ == rank || execDom_ == kConstructing) ? facadeSrc
-                                                        : 0;
-    push(Entry{when,
-               packOrder(std::uint8_t(static_cast<int>(prio)), now_),
-               packOrder2(src, rank, nextSeq_++), std::move(cb)});
 }
 
 bool
@@ -144,13 +116,13 @@ EventQueue::step()
     now_ = entry.when;
     execStamp_ = entry.stamp();
     execPrio_ = entry.prio();
-    execDom_ = entry.dom();
+    execRank_ = entry.rank();
     ++numExecuted_;
     entry.cb();
     // Anything that runs between events (drain polls, CGA unblock,
-    // sampler) is host-driver code; facade pushes it performs must
-    // record the host context, not the last event's domain.
-    execDom_ = ownRank_;
+    // sampler) is this queue's own driver code, not the last event's
+    // domain.
+    execRank_ = rank_;
     return true;
 }
 

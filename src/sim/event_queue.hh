@@ -3,25 +3,21 @@
  * Discrete-event simulation core.
  *
  * Every System owns one EventQueue per channel domain plus one for
- * the host domain, in every execution mode. Events are callbacks
- * scheduled at absolute ticks; the canonical execution order across
- * all queues is (tick, priority, stamp, source id, domain rank,
- * per-queue sequence), where the stamp is the scheduling-domain tick
- * of the event that caused the schedule and the domain rank encodes
- * the fixed cross-queue tie-break (channels in channel order, host
- * last). Three drivers realize that same order: a sequential run
- * collapses every domain into the host queue (collapseInto) so one
- * heap pops the canonical order directly with no per-event merge; the
- * multi-queue merge driver, System::stepSim, keeps the domains on
- * separate heaps and merges them on one thread (non-executing queues
- * read the executing queue's clock via setExternalNow and report
- * preempting pushes through a shared minimum-key sink, so the driver
- * can burst-execute one queue without rescanning after every event);
- * in parallel, a worker gang advances the channel queues in
- * conservative lookahead windows with cross-domain handoffs carrying
- * the (stamp, source) pair through mailboxes. Results are
- * bit-identical for every driver and worker count.
- * docs/INTERNALS.md section 12 has the full determinism argument.
+ * the host domain. Events are callbacks scheduled at absolute ticks
+ * and pop in the canonical key order
+ *
+ *   (tick, priority, stamp, source id, domain rank, sequence)
+ *
+ * where the stamp is the tick of the scheduling context, the source
+ * id names the domain whose code scheduled the event, and the domain
+ * rank is the fixed cross-domain tie-break (channels in channel
+ * order, host last). The sequential driver forwards every channel
+ * queue into the host queue (bindKey), so the canonical order is
+ * simply what that one heap pops. The windowed driver keeps one heap
+ * per domain, advances the channel queues in conservative lookahead
+ * windows, and replays cross-domain handoffs with the key they
+ * carried through the mailboxes (scheduleKeyed).
+ * docs/INTERNALS.md section 12 has the determinism argument.
  *
  * The hot path is allocation-free: callbacks are small-buffer
  * optimized (sim/callback.hh) and the pending set is a hand-rolled
@@ -35,8 +31,8 @@
  * six-field canonical key is packed into two words next to the tick
  * (Entry::order / order2), so a heap compare is at most three
  * branches over 24 contiguous bytes and an entry stays 40 bytes —
- * what keeps the collapsed single-heap driver at the speed of the
- * original single-queue simulator despite the richer key.
+ * what keeps the sequential driver at the speed of the original
+ * single-queue simulator despite the richer key.
  */
 
 #ifndef OLIGHT_SIM_EVENT_QUEUE_HH
@@ -64,12 +60,15 @@ enum class EventPriority : int
 /**
  * The event queue of one execution domain.
  *
- * A sequential System owns exactly one; a partitioned System owns
- * one per channel domain plus one for the host domain. Components
- * capture a reference and schedule closures; a queue is only ever
- * advanced by one thread at a time (the phase barriers in the
- * partitioned driver guarantee exclusivity), so no locking is
+ * Components capture a reference and schedule closures; a queue is
+ * only ever advanced by one thread at a time (the phase barriers in
+ * the partitioned driver guarantee exclusivity), so no locking is
  * required.
+ *
+ * Every event's key comes from one of three places: the queue's own
+ * (clock, source id) by default, a bound key queue (bindKey), or an
+ * explicit (stamp, source) pair (scheduleKeyed). The event always
+ * carries this queue's domain rank.
  */
 class EventQueue
 {
@@ -85,18 +84,10 @@ class EventQueue
     EventQueue(const EventQueue &) = delete;
     EventQueue &operator=(const EventQueue &) = delete;
 
-    /** Current simulated time. While the merge driver has this
-     *  queue routed to its merged clock (setExternalNow), that clock
-     *  *is* the queue's time: components invoked synchronously
-     *  across a domain boundary read the same tick a single global
-     *  queue would show, with no per-event clock broadcast. */
-    Tick now() const { return extNowPtr_ ? *extNowPtr_ : now_; }
-
-    /** The queue's own clock word, for routing facades directly at a
-     *  collapse master (step() raises it before the callback runs, so
-     *  a facade pointed here always reads the executing tick with no
-     *  per-event broadcast). */
-    const Tick *clockPtr() const { return &now_; }
+    /** Current simulated time: the key queue's clock while this queue
+     *  forwards into it (bindKey), so components read the executing
+     *  tick with no per-event clock broadcast. */
+    Tick now() const { return forward_ ? key_->now_ : now_; }
 
     /**
      * Stamp of the event currently executing (its scheduling-domain
@@ -129,23 +120,6 @@ class EventQueue
      *  every pending event, inline capture buffers included). */
     std::uint64_t heapRegrows() const { return regrows_; }
 
-    /** Monotone count of events ever scheduled here (the insertion-
-     *  sequence high-water mark). */
-    std::uint64_t scheduleCount() const { return nextSeq_; }
-
-    /** Canonical merge key of one event, without the per-queue
-     *  sequence (sequences are not comparable across queues). The
-     *  merge driver accumulates the minimum key pushed into any
-     *  non-executing queue to know when a cross-domain schedule
-     *  could preempt the current execution burst. `order` is the
-     *  packed (priority, stamp) word of Entry::order. */
-    struct FrontKey
-    {
-        Tick when = 0;
-        std::uint64_t order = 0;
-        std::uint16_t src = 0;
-    };
-
     /** True when no events remain. */
     bool empty() const { return heap_.empty(); }
 
@@ -155,91 +129,35 @@ class EventQueue
     /** Tick of the earliest pending event. @pre !empty() */
     Tick nextTick() const { return heap_.front().when; }
 
-    /**
-     * Merge comparison for the sequential multi-queue driver: does
-     * this queue's earliest event sort strictly before @p other's
-     * under the canonical (tick, priority, stamp, source) key?
-     * Sequence numbers are per-queue counters and not comparable
-     * across queues; a full tie returns false so the caller's fixed
-     * scan order decides (channels first, host last — the same
-     * precedence the windowed driver's phases impose).
-     * @pre neither queue is empty.
-     */
-    bool
-    frontBefore(const EventQueue &other) const
-    {
-        const Entry &a = heap_.front();
-        const Entry &b = other.heap_.front();
-        if (a.when != b.when)
-            return a.when < b.when;
-        if (a.order != b.order)
-            return a.order < b.order;
-        return a.src() < b.src();
-    }
-
-    /** Does this queue's earliest event sort strictly before key
-     *  @p k under the same canonical order? @pre !empty(). */
-    bool
-    frontBefore(const FrontKey &k) const
-    {
-        const Entry &a = heap_.front();
-        if (a.when != k.when)
-            return a.when < k.when;
-        if (a.order != k.order)
-            return a.order < k.order;
-        return a.src() < k.src;
-    }
-
-    /** Raise the queue's own clock to @p t without running anything
-     *  (the external-now routing above covers the merge driver; this
-     *  is for tests and explicit clock hand-off). @pre no pending
-     *  event < t. */
+    /** Name this queue's domain: @p src is the source id stamped on
+     *  events its own code schedules, @p rank the tie-break its
+     *  events carry (lower ranks pop first on a full tie). */
     void
-    advanceTo(Tick t)
+    setDomain(std::uint16_t src, std::uint16_t rank)
     {
-        if (t > now_)
-            now_ = t;
+        src_ = checkRank8(src);
+        rank_ = checkRank8(rank);
+        execRank_ = rank_;
     }
 
-    /** Stable id stamped on events this queue schedules for itself
-     *  (the partitioned driver gives each domain a distinct id; a
-     *  sequential queue keeps the default 0). */
-    void setSourceId(std::uint16_t id) { ownSrc_ = checkRank8(id); }
-
     /**
-     * Collapsed sequential mode: turn this queue into a forwarding
-     * facade of @p master. Every schedule is pushed into the master
-     * heap carrying @p rank as its domain rank, so one heap pops the
-     * exact order the multi-queue merge driver would have produced:
-     * the rank reproduces the driver's fixed scan-order tie-break
-     * (channel queues in channel order, host queue last) and the
-     * master synthesizes the (stamp, source) pair a push into this
-     * queue would have recorded (see collapsedPush). A facade never
-     * holds events; its clock is routed to the master's merged clock
-     * via setExternalNow exactly as in merge mode.
+     * Derive every schedule's key from @p key (nullptr unbinds). A
+     * schedule is stamped with key's current tick; it records this
+     * queue's source id while key runs an event of this queue's
+     * rank, and key's source id otherwise. With @p forward the events
+     * go into key's heap and now() reads key's clock — the sequential
+     * driver, where one heap then pops the canonical order. Without
+     * it this queue keeps its events and its own clock — the windowed
+     * host phase, where a quiescent channel queue stamps host->channel
+     * arrivals with the host tick that produced them. @p key must not
+     * itself be bound.
      */
     void
-    collapseInto(EventQueue *master, std::uint16_t rank)
+    bindKey(EventQueue *key, bool forward)
     {
-        collapse_ = master;
-        collapseRank_ = checkRank8(rank);
+        key_ = key;
+        forward_ = key && forward;
     }
-
-    /** Master side of a collapse: the domain rank recorded on events
-     *  this queue schedules for itself (the host queue ranks after
-     *  every channel facade, matching the merge driver's scan). */
-    void setOwnRank(std::uint16_t rank) { ownRank_ = checkRank8(rank); }
-
-    /**
-     * Master side of a collapse: construction is over, execution
-     * begins. Code that runs outside any event from here on (SM /
-     * host-stream start, drain polls) is host-driver code, so facade
-     * pushes it performs must record source 0 — the value merge mode's
-     * external-now routing would have stamped. Before this call such
-     * pushes keep the facade's own source id, mirroring a
-     * construction-time schedule into a not-yet-routed channel queue.
-     */
-    void beginCollapsedRun() { execDom_ = ownRank_; }
 
     /**
      * Schedule @p cb to run at absolute tick @p when.
@@ -248,6 +166,14 @@ class EventQueue
      */
     void schedule(Tick when, Callback cb,
                   EventPriority prio = EventPriority::Default);
+
+    /**
+     * Schedule with an explicit (stamp, source) instead of the
+     * derived one: the replay of a cross-domain handoff, which must
+     * sort where the originating event's effect would have.
+     */
+    void scheduleKeyed(Tick when, Callback cb, EventPriority prio,
+                       Tick stamp, std::uint16_t src);
 
     /**
      * Raw fast path: schedule `fn(ctx)` at @p when with zero capture
@@ -266,91 +192,12 @@ class EventQueue
                          void *ctx,
                          EventPriority prio = EventPriority::Wakeup);
 
-    /** Schedule @p cb @p delta ticks from now() — the routed merged
-     *  clock when one is active, so cross-domain deliveries compute
-     *  their latency from the true current tick. */
+    /** Schedule @p cb @p delta ticks from now(). */
     void
     scheduleIn(Tick delta, Callback cb,
                EventPriority prio = EventPriority::Default)
     {
         schedule(now() + delta, std::move(cb), prio);
-    }
-
-    /**
-     * Scope for scheduling events on behalf of *another* domain:
-     * while active, scheduled events carry the given (stamp, source)
-     * instead of this queue's (now, own id). The partitioned driver
-     * wraps every cross-domain handoff in one of these so same-tick
-     * arrivals merge in the sending domain's scheduling order — the
-     * same order a single global queue would have recorded.
-     */
-    class ExternalScope
-    {
-      public:
-        ExternalScope(EventQueue &eq, Tick stamp, std::uint16_t src)
-            : eq_(eq)
-        {
-            eq_.extActive_ = true;
-            eq_.extStamp_ = stamp;
-            eq_.extSrc_ = checkRank8(src);
-        }
-        ~ExternalScope() { eq_.extActive_ = false; }
-        ExternalScope(const ExternalScope &) = delete;
-        ExternalScope &operator=(const ExternalScope &) = delete;
-
-      private:
-        EventQueue &eq_;
-    };
-
-    /**
-     * Route (stamp, source) from another queue: while set, events
-     * scheduled here carry @p src and the *current* tick of @p eq.
-     * The partitioned driver points every quiescent channel queue at
-     * the host queue for the duration of the host phase — arbitrarily
-     * deep host call chains (SM -> interconnect -> slice input) then
-     * stamp their cross-domain arrivals with the host tick that
-     * produced them, without threading a scope through the pipe.
-     */
-    void
-    setExternalSource(const EventQueue *eq, std::uint16_t src)
-    {
-        extQueue_ = eq;
-        extQueueSrc_ = checkRank8(src);
-    }
-    void clearExternalSource() { extQueue_ = nullptr; }
-
-    /**
-     * Merge-driver variant of the external source: while set, the
-     * queue reads its time through @p now, and events scheduled here
-     * carry @p src and that tick as their stamp. The sequential
-     * driver keeps every non-executing queue pointed at its merged
-     * clock with source 0 (the id of whichever foreign domain's code
-     * is running), so a host-side delivery into a channel queue gets
-     * the same (stamp, source) the windowed driver's
-     * setExternalSource path would record. @p minPush /
-     * @p minPushValid, when given, accumulate the minimum canonical
-     * key pushed into this queue — one shared sink across all
-     * non-executing queues tells the driver whether any cross-domain
-     * schedule could preempt its current burst, without re-reading
-     * any fronts (most cross-domain pushes carry the interconnect
-     * latency and land far in the future).
-     */
-    void
-    setExternalNow(const Tick *now, std::uint16_t src,
-                   FrontKey *minPush = nullptr,
-                   bool *minPushValid = nullptr)
-    {
-        extNowPtr_ = now;
-        extNowSrc_ = checkRank8(src);
-        extMinPush_ = minPush;
-        extMinPushValid_ = minPushValid;
-    }
-    void
-    clearExternalNow()
-    {
-        extNowPtr_ = nullptr;
-        extMinPush_ = nullptr;
-        extMinPushValid_ = nullptr;
     }
 
     /**
@@ -382,7 +229,7 @@ class EventQueue
 
     /** Sequence field width inside Entry::order2. The truncation is
      *  sound without a guard: two entries compare down to their
-     *  sequences only when (when, prio, stamp, src, dom) all tie,
+     *  sequences only when (when, prio, stamp, src, rank) all tie,
      *  and an equal stamp means both were pushed at the same tick —
      *  a wrap-straddling pair would need 2^48 pushes into one queue
      *  at a single tick with both entries still pending. */
@@ -394,25 +241,25 @@ class EventQueue
      * whole entry (key + small-buffer callback) stays 40 bytes:
      *
      *   order  = priority(8) | stamp(56)
-     *   order2 = src(8) | dom(8) | seq(48)
+     *   order2 = src(8) | rank(8) | seq(48)
      *
      * Field precedence is preserved exactly: lexicographic order on
      * (when, order, order2) equals order on (when, prio, stamp, src,
-     * dom, seq). Source ids and domain ranks are bounded to 8 bits
-     * at their setters (checkRank8) — channels beyond 254 are out of
-     * scope for the modeled systems.
+     * rank, seq). Source ids and domain ranks are bounded to 8 bits
+     * (checkRank8) — channels beyond 254 are out of scope for the
+     * modeled systems.
      */
     struct Entry
     {
         Tick when;
         std::uint64_t order;  ///< (prio << kStampBits) | stamp
-        std::uint64_t order2; ///< (src << 56) | (dom << 48) | seq
+        std::uint64_t order2; ///< (src << 56) | (rank << 48) | seq
         Callback cb;
 
         std::uint8_t prio() const { return std::uint8_t(order >> kStampBits); }
         Tick stamp() const { return order & ((1ull << kStampBits) - 1); }
-        std::uint16_t src() const { return std::uint16_t(order2 >> 56); }
-        std::uint16_t dom() const
+        std::uint16_t
+        rank() const
         {
             return std::uint16_t((order2 >> kSeqBits) & 0xff);
         }
@@ -431,24 +278,24 @@ class EventQueue
     /** Pack the (priority, stamp) compare word; fatal on a stamp too
      *  large for its field rather than misordering silently. */
     static std::uint64_t
-    packOrder(std::uint8_t prio, Tick stamp)
+    packOrder(EventPriority prio, Tick stamp)
     {
         if (stamp >> kStampBits) [[unlikely]]
             olight_fatal("event stamp overflows its packed key: ",
                          stamp);
-        return (std::uint64_t(prio) << kStampBits) | stamp;
+        return (std::uint64_t(std::uint8_t(prio)) << kStampBits) | stamp;
     }
 
     /** Pack the (source, domain rank, sequence) tie-break word. */
     static std::uint64_t
-    packOrder2(std::uint16_t src, std::uint16_t dom, std::uint64_t seq)
+    packOrder2(std::uint16_t src, std::uint16_t rank, std::uint64_t seq)
     {
         return (std::uint64_t(src) << 56) |
-               (std::uint64_t(dom) << kSeqBits) |
+               (std::uint64_t(rank) << kSeqBits) |
                (seq & ((1ull << kSeqBits) - 1));
     }
 
-    /** Construction-time bound for ids packed into Entry::order2. */
+    /** Bound for ids packed into Entry::order2. */
     static std::uint16_t
     checkRank8(std::uint16_t id)
     {
@@ -458,44 +305,27 @@ class EventQueue
         return id;
     }
 
+    /** The derived (stamp, source) of a schedule made now. */
+    Tick keyStamp() const { return key_ ? key_->now_ : now_; }
+    std::uint16_t
+    keySrc() const
+    {
+        return key_ && key_->execRank_ != rank_ ? key_->src_ : src_;
+    }
+
+    /** The queue whose heap takes an event scheduled at @p when
+     *  (the key queue when forwarding); fatal if @p when is past. */
+    EventQueue &
+    heapFor(Tick when)
+    {
+        EventQueue &q = forward_ ? *key_ : *this;
+        if (when < q.now_) [[unlikely]]
+            pastFatal(when, q.now_);
+        return q;
+    }
+    [[noreturn]] static void pastFatal(Tick when, Tick now);
     void push(Entry entry);
     Entry popTop();
-
-    /** Record a facade's schedule in this (master) heap. The source
-     *  is synthesized to match what a push into the facade would have
-     *  recorded under the merge driver: the facade's own id when the
-     *  currently executing event belongs to the same domain (merge
-     *  mode clears the executing queue's external routing) or when
-     *  still constructing, else 0 (the external-now source every
-     *  non-executing queue carries). The stamp is this queue's
-     *  current tick — identical to the merged clock the facade would
-     *  have read. */
-    void collapsedPush(Tick when, Callback cb, EventPriority prio,
-                       std::uint16_t rank, std::uint16_t facadeSrc);
-
-    /** The (stamp, src) to record on an event scheduled now. */
-    Tick
-    scheduleStamp() const
-    {
-        if (extActive_)
-            return extStamp_;
-        if (extQueue_)
-            return extQueue_->now();
-        if (extNowPtr_)
-            return *extNowPtr_;
-        return now_;
-    }
-    std::uint16_t
-    scheduleSrc() const
-    {
-        if (extActive_)
-            return extSrc_;
-        if (extQueue_)
-            return extQueueSrc_;
-        if (extNowPtr_)
-            return extNowSrc_;
-        return ownSrc_;
-    }
 
     /** 4-ary min-heap on (when, order, order2) over heap_. */
     static constexpr std::size_t kArity = 4;
@@ -508,26 +338,12 @@ class EventQueue
     std::uint64_t nextSeq_ = 0;
     std::uint64_t numExecuted_ = 0;
     std::uint64_t regrows_ = 0;
-    std::uint16_t ownSrc_ = 0;
 
-    /** Sentinel for execDom_ while the System is still being built
-     *  (no event has run and beginCollapsedRun was not called). */
-    static constexpr std::uint16_t kConstructing = 0xffff;
-
-    EventQueue *collapse_ = nullptr; ///< master heap when a facade
-    std::uint16_t collapseRank_ = 0; ///< this facade's domain rank
-    std::uint16_t ownRank_ = 0;      ///< rank on own events (master)
-    std::uint16_t execDom_ = kConstructing; ///< executing event's rank
-
-    bool extActive_ = false;
-    Tick extStamp_ = 0;
-    std::uint16_t extSrc_ = 0;
-    const EventQueue *extQueue_ = nullptr;
-    std::uint16_t extQueueSrc_ = 0;
-    const Tick *extNowPtr_ = nullptr;
-    std::uint16_t extNowSrc_ = 0;
-    FrontKey *extMinPush_ = nullptr;
-    bool *extMinPushValid_ = nullptr;
+    std::uint16_t src_ = 0;      ///< source id (setDomain)
+    std::uint16_t rank_ = 0;     ///< domain rank (setDomain)
+    std::uint16_t execRank_ = 0; ///< rank of the executing event
+    EventQueue *key_ = nullptr;  ///< bound key queue (bindKey)
+    bool forward_ = false;       ///< events live in key_'s heap
 };
 
 } // namespace olight

@@ -61,7 +61,7 @@ SystemConfig litmusConfig(OrderingMode mode, std::uint64_t seed);
 /**
  * Run litmus pattern @p name under @p mode with schedule seed
  * @p seed. Fatals on an unknown pattern name. @p simJobs selects
- * the execution policy (1 = sequential merge driver, >1 = channel
+ * the execution policy (1 = sequential driver, >1 = channel
  * partitioning) — the verdict must not depend on it. A non-empty
  * @p recordPath records the run's hook stream into a commit log
  * (the way to capture a *violating* log: mode None on a sensitive

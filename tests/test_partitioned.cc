@@ -1,11 +1,13 @@
 /**
  * @file
- * Channel-partitioned execution tests: the ISSUE-level determinism
- * guarantees (golden workload stats, sweep CSV, litmus verdicts and
- * oracle outcomes byte-identical for every simJobs value) and the
- * steady-state memory discipline of the domain infrastructure
- * (arena-backed mailboxes and sized event heaps allocate nothing
- * once warm).
+ * Channel-partitioned execution tests: the determinism guarantees
+ * (golden workload stats, sweep CSV, litmus verdicts and oracle
+ * outcomes byte-identical for every simJobs value; host-traffic runs
+ * byte-identical for every worker count > 1), the steady-state
+ * memory discipline of the domain infrastructure (arena-backed
+ * mailboxes and sized event heaps allocate nothing once warm), and
+ * the canonical event key that both drivers pop by (bindKey and
+ * scheduleKeyed).
  */
 
 #include <gtest/gtest.h>
@@ -21,6 +23,7 @@
 #include "sim/event_domain.hh"
 #include "sim/event_queue.hh"
 #include "verify/litmus.hh"
+#include "workloads/reference.hh"
 #include "workloads/registry.hh"
 
 namespace olight
@@ -58,7 +61,8 @@ goldenRun(const std::string &workload, unsigned simJobs)
 
 /** The acceptance-level guarantee: a verified, oracle-attached
  *  golden workload produces byte-identical deterministic outputs at
- *  simJobs 1 (merge driver), 2 and 4 (windowed partitioned driver).
+ *  simJobs 1 (sequential driver), 2 and 4 (windowed partitioned
+ *  driver).
  *  KMeans is the historical canary — its host/channel credit
  *  interleaving is what shook out the stamp/priority/credit rules
  *  documented in sim/event_domain.hh. */
@@ -76,48 +80,54 @@ TEST(Partitioned, GoldenWorkloadByteIdenticalAcrossSimJobs)
     }
 }
 
-/** Run @p workload sequentially (simJobs 1) with the given collapse
- *  policy and render every deterministic output as one string. */
+/** Run @p workload with its host traffic under FGA at @p simJobs:
+ *  metrics JSON, oracle verdict and golden check as one string. */
 std::string
-sequentialOutputs(const char *workload, bool collapse)
+hostTrafficOutputs(const char *workload, unsigned simJobs)
 {
     SystemConfig cfg = configFor(OrderingMode::OrderLight, 256, 16);
     cfg.verifyOracle = true;
+    EXPECT_EQ(cfg.arbitration, ArbitrationGranularity::Fine);
     auto wl = makeWorkload(workload);
-    wl->build(cfg, 1ull << 12);
+    wl->build(cfg, 1ull << 14);
     ExecPolicy policy;
-    policy.simJobs = 1;
-    policy.collapseSequential = collapse;
+    policy.simJobs = simJobs;
     System sys(cfg, policy);
     wl->initMemory(sys.mem());
     sys.loadPimKernel(wl->streams());
+    sys.setHostTraffic(wl->hostTraffic());
     RunMetrics metrics = sys.run();
-    EXPECT_FALSE(sys.partitioned());
+    EXPECT_TRUE(sys.partitioned());
+
+    SparseMemory golden;
+    wl->initMemory(golden);
+    runGolden(cfg, wl->map(), wl->streams(), golden);
+    std::string why;
+    for (const PimArray &arr : wl->arrays())
+        EXPECT_TRUE(compareArray(sys.mem(), golden, arr, why)) << why;
 
     std::ostringstream os;
     metrics.writeJson(os);
-    os << "\nevents=" << sys.eventsExecuted() << "\noracle="
-       << sys.oracle()->violationCount() << "/"
+    os << "\noracle=" << sys.oracle()->violationCount() << "/"
        << sys.oracle()->checksPerformed() << "\n";
     sys.oracle()->report(os);
     return os.str();
 }
 
-/** The collapsed single-heap fast path (PR 7's jobs=1 recovery) and
- *  the 17-queue merge driver it bypasses are the same simulation:
- *  metrics, event counts and oracle verdicts byte-identical. This is
- *  the pin that keeps the fast path honest — any divergence in the
- *  canonical pop order shows up here, not in a downstream golden. */
-TEST(Partitioned, CollapsedAndMergeDriversByteIdentical)
+/** Concurrent host traffic through the windowed driver gives the
+ *  same bytes for every worker count. It deliberately does not
+ *  compare against simJobs 1: the barrier-time mailbox replay orders
+ *  some host-traffic effects differently from the sequential driver
+ *  (docs/INTERNALS.md section 12), a known divergence. */
+TEST(Partitioned, HostTrafficIndependentOfWorkerCount)
 {
-    for (const char *wl : {"KMeans", "Triad"}) {
+    for (const char *wl : {"KMeans", "Add"}) {
         SCOPED_TRACE(wl);
-        const std::string collapsed = sequentialOutputs(wl, true);
-        const std::string merged = sequentialOutputs(wl, false);
-        EXPECT_EQ(collapsed, merged);
-        EXPECT_NE(collapsed.find("oracle=0/"), std::string::npos)
-            << "the oracle should attach and stay clean: "
-            << collapsed;
+        const std::string at2 = hostTrafficOutputs(wl, 2);
+        const std::string at4 = hostTrafficOutputs(wl, 4);
+        EXPECT_EQ(at2, at4);
+        EXPECT_NE(at2.find("oracle=0/"), std::string::npos)
+            << "the oracle should attach and stay clean: " << at2;
     }
 }
 
@@ -239,7 +249,8 @@ TEST(Partitioned, CrossDomainWindowCycleAllocatesNothing)
 {
     EventQueue hostQ(256);
     EventQueue chQ(256);
-    chQ.setSourceId(1);
+    hostQ.setDomain(0, 1);
+    chQ.setDomain(1, 0);
     DomainMailbox box;
 
     std::uint64_t applied = 0;
@@ -261,8 +272,8 @@ TEST(Partitioned, CrossDomainWindowCycleAllocatesNothing)
         // the recorded (stamp, source), then wholesale-free.
         for (std::size_t i = 0; i < box.size(); ++i) {
             const CrossMsg &m = box[i];
-            EventQueue::ExternalScope scope(hostQ, m.stamp, 1);
-            hostQ.schedule(m.applyTick, [&] { ++applied; }, m.prio);
+            hostQ.scheduleKeyed(m.applyTick, [&] { ++applied; },
+                                m.prio, m.stamp, 1);
         }
         hostQ.runUntil(base + Tick(depth));
         box.reset();
@@ -281,79 +292,99 @@ TEST(Partitioned, CrossDomainWindowCycleAllocatesNothing)
     EXPECT_EQ(applied, 36u * kDepth);
 }
 
-/** The merge key the sequential driver uses across queues matches
- *  the intra-queue entry order: ties on (tick, priority) fall to the
- *  stamp, then the source id, and a full tie reports "not before" so
- *  the caller's scan order decides. */
-TEST(Partitioned, FrontBeforeFollowsCanonicalKey)
+/** Pop order covers the full canonical key: tick, priority, stamp,
+ *  source id, domain rank, then insertion sequence. Everything but
+ *  the sequence pair is inserted in reverse order, so only the key
+ *  can produce the expected order. */
+TEST(Partitioned, PopOrderFollowsTheFullCanonicalKey)
 {
-    auto noop = [] {};
+    EventQueue host;
+    EventQueue ch0(1), ch1(1);
+    host.setDomain(0, 2);
+    ch0.setDomain(1, 0);
+    ch1.setDomain(2, 1);
+    ch0.bindKey(&host, true);
+    ch1.bindKey(&host, true);
 
-    { // earlier tick wins regardless of priority
-        EventQueue a(8), b(8);
-        a.schedule(5, noop, EventPriority::Stats);
-        b.schedule(6, noop, EventPriority::DramTiming);
-        EXPECT_TRUE(a.frontBefore(b));
-        EXPECT_FALSE(b.frontBefore(a));
-    }
-    { // same tick: priority decides
-        EventQueue a(8), b(8);
-        a.schedule(5, noop, EventPriority::Wakeup);
-        b.schedule(5, noop, EventPriority::DramTiming);
-        EXPECT_TRUE(b.frontBefore(a));
-        EXPECT_FALSE(a.frontBefore(b));
-    }
-    { // same (tick, prio): the earlier scheduling stamp decides
-        EventQueue a(8), b(8);
-        EventQueue clock(8);
-        clock.schedule(1, noop);
-        clock.step(); // clock.now() == 1
-        a.setExternalSource(&clock, 3);
-        a.schedule(5, noop); // stamp 1
-        a.clearExternalSource();
-        b.schedule(5, noop); // stamp 0 (own now)
-        EXPECT_TRUE(b.frontBefore(a));
-        EXPECT_FALSE(a.frontBefore(b));
-    }
-    { // full (tick, prio, stamp, src) tie: neither sorts first
-        EventQueue a(8), b(8);
-        a.schedule(5, noop);
-        b.schedule(5, noop);
-        EXPECT_FALSE(a.frontBefore(b));
-        EXPECT_FALSE(b.frontBefore(a));
-    }
+    std::vector<std::string> order;
+    auto note = [&](const char *what) {
+        return [&order, what] { order.push_back(what); };
+    };
+    const auto dflt = EventPriority::Default;
+    host.scheduleKeyed(20, note("stamp"), dflt, 5, 0);
+    host.scheduleKeyed(20, note("source"), dflt, 0, 1);
+    host.schedule(20, note("seq-first"));
+    host.schedule(20, note("seq-second"));
+    ch1.schedule(20, note("rank1"));
+    ch0.schedule(20, note("rank0"));
+    host.schedule(20, note("priority"), EventPriority::DramTiming);
+    host.schedule(10, note("tick"), EventPriority::Stats);
+
+    EXPECT_TRUE(ch0.empty());
+    EXPECT_TRUE(ch1.empty());
+    EXPECT_EQ(host.size(), 8u);
+    host.run();
+    EXPECT_EQ(order, (std::vector<std::string>{
+                         "tick", "priority", "rank0", "rank1",
+                         "seq-first", "seq-second", "source",
+                         "stamp"}));
 }
 
-/** advanceTo raises the clock without running events, and the
- *  merge-driver external-now routing stamps foreign schedules with
- *  the merged clock and source. */
-TEST(Partitioned, AdvanceToAndExternalNowStamping)
+/** The bindKey rule. A forwarding queue reads the key queue's clock
+ *  and records its own source id only while the key queue runs an
+ *  event of its rank; a non-forwarding queue keeps its events and its
+ *  own clock but takes its stamp and source from the key queue. */
+TEST(Partitioned, BoundQueuesDeriveKeysFromTheKeyQueue)
 {
-    EventQueue q(8);
-    q.advanceTo(42);
-    EXPECT_EQ(q.now(), 42u);
-    q.advanceTo(7); // never moves backwards
-    EXPECT_EQ(q.now(), 42u);
+    EventQueue host;
+    EventQueue ch(1);
+    host.setDomain(0, 1);
+    ch.setDomain(1, 0);
+    ch.bindKey(&host, true);
 
-    // Two same-tick deliveries into q: one stamped through the
-    // merged clock (stamp 50), one scheduled later but from an
-    // earlier-stamped context (stamp 45 via ExternalScope). The
-    // earlier stamp must run first — exactly how the merge driver
-    // keeps cross-domain arrivals in global-queue order.
-    Tick merged = 50;
-    std::vector<int> order;
-    q.setExternalNow(&merged, 9);
-    q.schedule(60, [&] { order.push_back(1); });
-    q.clearExternalNow();
-    {
-        EventQueue::ExternalScope scope(q, 45, 2);
-        q.schedule(60, [&] { order.push_back(2); });
-    }
-    while (q.step()) {
-    }
-    ASSERT_EQ(order.size(), 2u);
-    EXPECT_EQ(order[0], 2);
-    EXPECT_EQ(order[1], 1);
+    std::vector<std::string> order;
+    // At tick 10 an event of ch's rank and then a host event each
+    // schedule into ch for tick 30, both stamped 10. The first
+    // records ch's own source (1), the second the host's (0), so the
+    // later schedule pops first.
+    ch.schedule(10, [&] {
+        EXPECT_EQ(ch.now(), 10u);
+        ch.schedule(30, [&] { order.push_back("own"); });
+    });
+    host.schedule(10, [&] {
+        ch.schedule(30, [&] {
+            EXPECT_EQ(host.currentStamp(), 10u);
+            order.push_back("foreign");
+        });
+    }, EventPriority::Wakeup);
+    host.run();
+    EXPECT_EQ(order, (std::vector<std::string>{"foreign", "own"}));
+    EXPECT_EQ(ch.now(), 30u);
+    EXPECT_EQ(ch.numExecuted(), 0u);
+    EXPECT_EQ(host.numExecuted(), 4u);
+
+    // Non-forwarding: events stay here, the clock stays ours, and a
+    // bound schedule carries the host's tick (30) and source (0).
+    EventQueue q;
+    q.setDomain(2, 0);
+    order.clear();
+    q.scheduleKeyed(50, [&] { order.push_back("keyed"); },
+                    EventPriority::Default, 30, 1);
+    q.bindKey(&host, false);
+    EXPECT_EQ(q.now(), 0u);
+    q.schedule(50, [&] {
+        EXPECT_EQ(q.currentStamp(), 30u);
+        order.push_back("bound");
+    });
+    q.bindKey(nullptr, false);
+    q.schedule(50, [&] { order.push_back("unbound"); });
+    EXPECT_EQ(q.size(), 3u);
+    EXPECT_TRUE(host.empty());
+    q.run();
+    EXPECT_EQ(order,
+              (std::vector<std::string>{"unbound", "bound", "keyed"}));
+    EXPECT_EQ(q.now(), 50u);
+    EXPECT_EQ(host.now(), 30u);
 }
 
 } // namespace

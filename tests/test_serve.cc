@@ -450,6 +450,46 @@ TEST_F(ServeServerTest, CacheHitIsByteIdentical)
     EXPECT_EQ(s.runsExecuted, 1u);
     EXPECT_EQ(s.cache.hits, 1u);
     EXPECT_EQ(s.cache.misses, 1u);
+
+    // A warm cache serves every repeat: four distinct run points
+    // (the one above among them), each asked many times by
+    // concurrent clients, simulate exactly once.
+    const std::string kPoints[] = {
+        kRunRequest,
+        R"({"cmd":"run","workload":"Add","elements":4096,)"
+        R"("mode":"orderlight"})",
+        R"({"cmd":"run","workload":"Copy","elements":4096,)"
+        R"("mode":"fence"})",
+        R"({"cmd":"run","workload":"Add","elements":4096,)"
+        R"("mode":"fence"})",
+    };
+    constexpr int kClients = 4;
+    constexpr int kRounds = 5;
+    for (const std::string &point : kPoints) {
+        std::string reply = c.roundTrip(point);
+        EXPECT_NE(reply.find("\"ok\":true"), std::string::npos) << reply;
+    }
+    std::atomic<int> notOk{0};
+    std::vector<std::thread> threads;
+    for (int t = 0; t < kClients; ++t) {
+        threads.emplace_back([&, t] {
+            Client tc = Client::overUnix(path_);
+            for (int i = 0; i < 4 * kRounds; ++i) {
+                std::string reply = tc.roundTrip(kPoints[(t + i) % 4]);
+                if (reply.find("\"ok\":true") == std::string::npos)
+                    notOk.fetch_add(1);
+            }
+        });
+    }
+    for (std::thread &t : threads)
+        t.join();
+
+    EXPECT_EQ(notOk.load(), 0);
+    s = server_->snapshot();
+    EXPECT_EQ(s.runsExecuted, 4u);
+    EXPECT_EQ(s.cache.misses, 4u);
+    EXPECT_EQ(s.cache.hits, std::uint64_t(2 + kClients * 4 * kRounds));
+    EXPECT_EQ(s.internalErrors, 0u);
 }
 
 TEST_F(ServeServerTest, MalformedRequestsKeepServing)
