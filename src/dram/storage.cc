@@ -1,5 +1,7 @@
 #include "dram/storage.hh"
 
+#include <algorithm>
+
 #include "sim/logging.hh"
 
 namespace olight
@@ -7,25 +9,46 @@ namespace olight
 
 const SparseMemory::Block SparseMemory::zeroBlock_{};
 
+SparseMemory::Page &
+SparseMemory::page(std::uint64_t num)
+{
+    Shard &s = shards_[num & (kShards - 1)];
+    std::lock_guard<std::mutex> lock(s.mu);
+    std::unique_ptr<Page> &p = s.pages[num];
+    if (!p)
+        p = std::make_unique<Page>(); // value-initialized: zeros
+    return *p;
+}
+
+const SparseMemory::Page *
+SparseMemory::findPage(std::uint64_t num) const
+{
+    const Shard &s = shards_[num & (kShards - 1)];
+    std::lock_guard<std::mutex> lock(s.mu);
+    auto it = s.pages.find(num);
+    return it == s.pages.end() ? nullptr : it->second.get();
+}
+
 SparseMemory::Block &
 SparseMemory::block(std::uint64_t addr)
 {
     if (addr % blockBytes != 0)
         olight_panic("unaligned block access: 0x", std::hex, addr);
-    std::uint64_t num = addr / blockBytes;
-    Shard &s = shardOf(num);
-    std::lock_guard<std::mutex> lock(s.mu);
-    return s.blocks[num];
+    return page(addr / pageBytes)[addr % pageBytes / blockBytes];
 }
 
 const SparseMemory::Block &
 SparseMemory::blockOrZero(std::uint64_t addr) const
 {
-    std::uint64_t num = addr / blockBytes;
-    const Shard &s = shardOf(num);
-    std::lock_guard<std::mutex> lock(s.mu);
-    auto it = s.blocks.find(num);
-    return it == s.blocks.end() ? zeroBlock_ : it->second;
+    const Page *p = findPage(addr / pageBytes);
+    return p ? (*p)[addr % pageBytes / blockBytes] : zeroBlock_;
+}
+
+const std::uint8_t *
+SparseMemory::pageData(std::uint64_t addr) const
+{
+    const Page *p = findPage(addr / pageBytes);
+    return p ? reinterpret_cast<const std::uint8_t *>(p) : nullptr;
 }
 
 void
@@ -33,11 +56,12 @@ SparseMemory::read(std::uint64_t addr, void *out, std::size_t n) const
 {
     auto *dst = static_cast<std::uint8_t *>(out);
     while (n > 0) {
-        std::uint64_t base = addr - addr % blockBytes;
-        std::size_t off = addr % blockBytes;
-        std::size_t take = std::min<std::size_t>(n, blockBytes - off);
-        const Block &b = blockOrZero(base);
-        std::memcpy(dst, b.data() + off, take);
+        std::size_t off = addr % pageBytes;
+        std::size_t take = std::min<std::size_t>(n, pageBytes - off);
+        if (const std::uint8_t *src = pageData(addr))
+            std::memcpy(dst, src + off, take);
+        else
+            std::memset(dst, 0, take);
         dst += take;
         addr += take;
         n -= take;
@@ -49,11 +73,11 @@ SparseMemory::write(std::uint64_t addr, const void *in, std::size_t n)
 {
     auto *src = static_cast<const std::uint8_t *>(in);
     while (n > 0) {
-        std::uint64_t base = addr - addr % blockBytes;
-        std::size_t off = addr % blockBytes;
-        std::size_t take = std::min<std::size_t>(n, blockBytes - off);
-        Block &b = block(base);
-        std::memcpy(b.data() + off, src, take);
+        std::size_t off = addr % pageBytes;
+        std::size_t take = std::min<std::size_t>(n, pageBytes - off);
+        Page &p = page(addr / pageBytes);
+        std::memcpy(reinterpret_cast<std::uint8_t *>(&p) + off, src,
+                    take);
         src += take;
         addr += take;
         n -= take;
@@ -103,12 +127,12 @@ SparseMemory::writeFloats(std::uint64_t addr, const std::vector<float> &v)
 }
 
 std::size_t
-SparseMemory::numBlocks() const
+SparseMemory::numPages() const
 {
     std::size_t n = 0;
     for (const Shard &s : shards_) {
         std::lock_guard<std::mutex> lock(s.mu);
-        n += s.blocks.size();
+        n += s.pages.size();
     }
     return n;
 }
@@ -118,15 +142,20 @@ SparseMemory::clear()
 {
     for (Shard &s : shards_) {
         std::lock_guard<std::mutex> lock(s.mu);
-        s.blocks.clear();
+        s.pages.clear();
     }
 }
 
 void
 SparseMemory::copyFrom(const SparseMemory &other)
 {
-    for (std::uint32_t i = 0; i < kShards; ++i)
-        shards_[i].blocks = other.shards_[i].blocks;
+    for (std::uint32_t i = 0; i < kShards; ++i) {
+        auto &dst = shards_[i].pages;
+        const auto &src = other.shards_[i].pages;
+        dst.reserve(src.size());
+        for (const auto &[num, p] : src)
+            dst.emplace(num, std::make_unique<Page>(*p));
+    }
 }
 
 } // namespace olight

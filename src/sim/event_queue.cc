@@ -8,33 +8,44 @@ namespace olight
 {
 
 void
-EventQueue::push(Entry entry)
+EventQueue::push(Tick when, std::uint64_t order, std::uint64_t order2,
+                 Callback cb)
 {
+    std::uint64_t slot;
+    if (free_.empty()) {
+        slot = slots_.size();
+        slots_.push_back(std::move(cb));
+    } else {
+        slot = free_.back();
+        free_.pop_back();
+        slots_[slot] = std::move(cb);
+    }
     if (heap_.size() == heap_.capacity())
         ++regrows_;
     // Hole-based sift-up: move parents down into the hole until the
-    // new entry's slot is found; one move per level instead of the
+    // new key's place is found; one move per level instead of the
     // three a swap would cost.
+    const Key key{when, order, order2, slot};
     std::size_t hole = heap_.size();
-    heap_.emplace_back(); // default entry; overwritten below
+    heap_.emplace_back();
     while (hole > 0) {
         std::size_t parent = (hole - 1) / kArity;
-        if (!entry.before(heap_[parent]))
+        if (!key.before(heap_[parent]))
             break;
-        heap_[hole] = std::move(heap_[parent]);
+        heap_[hole] = heap_[parent];
         hole = parent;
     }
-    heap_[hole] = std::move(entry);
+    heap_[hole] = key;
 }
 
-EventQueue::Entry
+EventQueue::Key
 EventQueue::popTop()
 {
-    Entry top = std::move(heap_.front());
-    Entry last = std::move(heap_.back());
+    const Key top = heap_.front();
+    const Key last = heap_.back();
     heap_.pop_back();
     if (!heap_.empty()) {
-        // Sift the former last element down from the root hole.
+        // Sift the former last key down from the root hole.
         std::size_t hole = 0;
         const std::size_t size = heap_.size();
         while (true) {
@@ -50,10 +61,10 @@ EventQueue::popTop()
             }
             if (!heap_[best].before(last))
                 break;
-            heap_[hole] = std::move(heap_[best]);
+            heap_[hole] = heap_[best];
             hole = best;
         }
-        heap_[hole] = std::move(last);
+        heap_[hole] = last;
     }
     return top;
 }
@@ -72,9 +83,8 @@ void
 EventQueue::schedule(Tick when, Callback cb, EventPriority prio)
 {
     EventQueue &q = heapFor(when);
-    q.push(Entry{when, packOrder(prio, keyStamp()),
-                 packOrder2(keySrc(), rank_, q.nextSeq_++),
-                 std::move(cb)});
+    q.push(when, packOrder(prio, keyStamp()),
+           packOrder2(keySrc(), rank_, q.nextSeq_++), std::move(cb));
 }
 
 void
@@ -82,9 +92,9 @@ EventQueue::scheduleKeyed(Tick when, Callback cb, EventPriority prio,
                           Tick stamp, std::uint16_t src)
 {
     EventQueue &q = heapFor(when);
-    q.push(Entry{when, packOrder(prio, stamp),
-                 packOrder2(checkRank8(src), rank_, q.nextSeq_++),
-                 std::move(cb)});
+    q.push(when, packOrder(prio, stamp),
+           packOrder2(checkRank8(src), rank_, q.nextSeq_++),
+           std::move(cb));
 }
 
 void
@@ -92,17 +102,18 @@ EventQueue::scheduleAt(Tick when, RawFn fn, void *ctx,
                        EventPriority prio)
 {
     EventQueue &q = heapFor(when);
-    q.push(Entry{when, packOrder(prio, keyStamp()),
-                 packOrder2(keySrc(), rank_, q.nextSeq_++),
-                 Callback(fn, ctx)});
+    q.push(when, packOrder(prio, keyStamp()),
+           packOrder2(keySrc(), rank_, q.nextSeq_++),
+           Callback(fn, ctx));
 }
 
 void
 EventQueue::scheduleAtBatch(const Tick *whens, std::size_t n,
                             RawFn fn, void *ctx, EventPriority prio)
 {
-    std::vector<Entry> &heap = (forward_ ? *key_ : *this).heap_;
-    heap.reserve(heap.size() + n);
+    EventQueue &q = forward_ ? *key_ : *this;
+    q.heap_.reserve(q.heap_.size() + n);
+    q.slots_.reserve(q.heap_.size() + n);
     for (std::size_t i = 0; i < n; ++i)
         scheduleAt(whens[i], fn, ctx, prio);
 }
@@ -112,13 +123,17 @@ EventQueue::step()
 {
     if (heap_.empty())
         return false;
-    Entry entry = popTop();
-    now_ = entry.when;
-    execStamp_ = entry.stamp();
-    execPrio_ = entry.prio();
-    execRank_ = entry.rank();
+    const Key key = popTop();
+    now_ = key.when;
+    execStamp_ = key.stamp();
+    execPrio_ = key.prio();
+    execRank_ = key.rank();
+    // Take the callback out of its slot before running it: what it
+    // schedules may reuse the slot or grow (and so move) slots_.
+    Callback cb = std::move(slots_[key.slot]);
+    free_.push_back(key.slot);
     ++numExecuted_;
-    entry.cb();
+    cb();
     // Anything that runs between events (drain polls, CGA unblock,
     // sampler) is this queue's own driver code, not the last event's
     // domain.

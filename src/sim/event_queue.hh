@@ -19,20 +19,22 @@
  * carried through the mailboxes (scheduleKeyed).
  * docs/INTERNALS.md section 12 has the determinism argument.
  *
- * The hot path is allocation-free: callbacks are small-buffer
- * optimized (sim/callback.hh) and the pending set is a hand-rolled
- * 4-ary heap over a reserved vector — shallower than a binary heap
- * and sifted with moves into a hole instead of element swaps, which
- * matters when every element carries an inline capture buffer. The
- * initial reservation is a constructor parameter (the System sizes
- * it from the configuration: channels x banks, the natural bound on
- * concurrently pending DRAM events); mid-run regrows move every
- * inline capture buffer, so they are counted and exposed. The
- * six-field canonical key is packed into two words next to the tick
- * (Entry::order / order2), so a heap compare is at most three
- * branches over 24 contiguous bytes and an entry stays 40 bytes —
- * what keeps the sequential driver at the speed of the original
- * single-queue simulator despite the richer key.
+ * The hot path is allocation-free. Callbacks are small-buffer
+ * optimized (sim/callback.hh) and never sift with the pending set:
+ * each waits in a slot of a callback table, reused through a free
+ * list, and step() moves it out of its slot once, just before it
+ * runs. The pending set is a hand-rolled 4-ary heap of 32-byte keys
+ * (tick, two packed order words, slot index) over a reserved vector
+ * — shallower than a binary heap and sifted with moves into a hole
+ * instead of element swaps — so a sift copies four plain words per
+ * level instead of relocating a capture buffer. The six-field
+ * canonical key is packed into the two order words (Key::order /
+ * order2), so a heap compare is at most three branches over 24
+ * contiguous bytes. Keys are unique (the sequence field), so the pop
+ * order is fully determined by them. The initial reservation is a
+ * constructor parameter (the System sizes it from the configuration:
+ * channels x banks, the natural bound on concurrently pending DRAM
+ * events); mid-run regrows of the key heap are counted and exposed.
  */
 
 #ifndef OLIGHT_SIM_EVENT_QUEUE_HH
@@ -80,6 +82,8 @@ class EventQueue
     explicit EventQueue(std::size_t reserveHint = 1024)
     {
         heap_.reserve(reserveHint ? reserveHint : 1);
+        slots_.reserve(heap_.capacity());
+        free_.reserve(heap_.capacity());
     }
     EventQueue(const EventQueue &) = delete;
     EventQueue &operator=(const EventQueue &) = delete;
@@ -116,8 +120,8 @@ class EventQueue
     /** Number of events executed so far (for stats / debugging). */
     std::uint64_t numExecuted() const { return numExecuted_; }
 
-    /** Times the heap outgrew its reservation (each regrow copies
-     *  every pending event, inline capture buffers included). */
+    /** Times the key heap outgrew its reservation (the callback
+     *  table grows with it, moving every pending callback). */
     std::uint64_t heapRegrows() const { return regrows_; }
 
     /** True when no events remain. */
@@ -221,13 +225,13 @@ class EventQueue
     bool step();
 
   private:
-    /** Stamp field width inside Entry::order: 56 bits of tick.
+    /** Stamp field width inside Key::order: 56 bits of tick.
      *  Overflow is a fatal, not a silent misorder — and unreachable
      *  in practice (at one event per tick and millions of events per
      *  second it is centuries of wall time away). */
     static constexpr int kStampBits = 56;
 
-    /** Sequence field width inside Entry::order2. The truncation is
+    /** Sequence field width inside Key::order2. The truncation is
      *  sound without a guard: two entries compare down to their
      *  sequences only when (when, prio, stamp, src, rank) all tie,
      *  and an equal stamp means both were pushed at the same tick —
@@ -236,9 +240,9 @@ class EventQueue
     static constexpr int kSeqBits = 48;
 
     /**
-     * One pending event. The canonical six-field key is packed into
-     * two words so a heap compare is at most three branches and the
-     * whole entry (key + small-buffer callback) stays 40 bytes:
+     * The heap key of one pending event: 32 bytes, its callback
+     * parked in slots_[slot]. The canonical six-field key is packed
+     * into two words so a heap compare is at most three branches:
      *
      *   order  = priority(8) | stamp(56)
      *   order2 = src(8) | rank(8) | seq(48)
@@ -247,14 +251,14 @@ class EventQueue
      * (when, order, order2) equals order on (when, prio, stamp, src,
      * rank, seq). Source ids and domain ranks are bounded to 8 bits
      * (checkRank8) — channels beyond 254 are out of scope for the
-     * modeled systems.
+     * modeled systems. The slot never takes part in a compare.
      */
-    struct Entry
+    struct Key
     {
         Tick when;
         std::uint64_t order;  ///< (prio << kStampBits) | stamp
         std::uint64_t order2; ///< (src << 56) | (rank << 48) | seq
-        Callback cb;
+        std::uint64_t slot;   ///< index into slots_
 
         std::uint8_t prio() const { return std::uint8_t(order >> kStampBits); }
         Tick stamp() const { return order & ((1ull << kStampBits) - 1); }
@@ -265,7 +269,7 @@ class EventQueue
         }
 
         bool
-        before(const Entry &other) const
+        before(const Key &other) const
         {
             if (when != other.when)
                 return when < other.when;
@@ -274,6 +278,7 @@ class EventQueue
             return order2 < other.order2;
         }
     };
+    static_assert(sizeof(Key) == 32);
 
     /** Pack the (priority, stamp) compare word; fatal on a stamp too
      *  large for its field rather than misordering silently. */
@@ -295,7 +300,7 @@ class EventQueue
                (seq & ((1ull << kSeqBits) - 1));
     }
 
-    /** Bound for ids packed into Entry::order2. */
+    /** Bound for ids packed into Key::order2. */
     static std::uint16_t
     checkRank8(std::uint16_t id)
     {
@@ -324,13 +329,17 @@ class EventQueue
         return q;
     }
     [[noreturn]] static void pastFatal(Tick when, Tick now);
-    void push(Entry entry);
-    Entry popTop();
+    /** Park @p cb in a free slot and push its key. */
+    void push(Tick when, std::uint64_t order, std::uint64_t order2,
+              Callback cb);
+    Key popTop();
 
     /** 4-ary min-heap on (when, order, order2) over heap_. */
     static constexpr std::size_t kArity = 4;
 
-    std::vector<Entry> heap_;
+    std::vector<Key> heap_;
+    std::vector<Callback> slots_;     ///< parked callbacks, by slot
+    std::vector<std::uint64_t> free_; ///< empty slots, reused LIFO
     Tick now_ = 0;
     Tick execStamp_ = 0;
     std::uint8_t execPrio_ =

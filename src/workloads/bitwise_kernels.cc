@@ -53,24 +53,20 @@ class BitXnor : public Workload
     {
         SparseMemory init;
         initMemory(init);
-        const PimArray &a = arrays_[0];
-        const PimArray &b = arrays_[1];
-        const PimArray &out = arrays_[2];
-        for (std::uint64_t i = 0; i < elements_; ++i) {
-            std::uint64_t off = i * 4;
-            std::uint32_t av = init.readU32(a.base + off);
-            std::uint32_t bv = init.readU32(b.base + off);
-            std::uint32_t want = ~(av ^ bv);
-            std::uint32_t got = mem.readU32(out.base + off);
-            if (got != want) {
+        // Columns: a, b, and the output mask.
+        return scanDense<std::uint32_t>(
+            {{&init, &arrays_[0]}, {&init, &arrays_[1]},
+             {&mem, &arrays_[2]}},
+            [&](std::uint64_t i, const std::uint32_t *v) {
+                std::uint32_t want = ~(v[0] ^ v[1]);
+                if (v[2] == want)
+                    return true;
                 std::ostringstream os;
                 os << "Bit_Xnor[" << i << "]: got 0x" << std::hex
-                   << got << ", want 0x" << want;
+                   << v[2] << ", want 0x" << want;
                 why = os.str();
                 return false;
-            }
-        }
-        return true;
+            });
     }
 
   protected:

@@ -50,22 +50,18 @@ class BnFwd : public Workload
     {
         SparseMemory init;
         initMemory(init);
-        const PimArray &x = arrays_[0];
-        const PimArray &y = arrays_[1];
-        for (std::uint64_t i = 0; i < elements_; ++i) {
-            std::uint64_t off = i * sizeof(float);
-            float xv = init.readFloat(x.base + off);
-            float want = bnG2 * (bnG1 * xv + bnB1) + bnB2;
-            float got = mem.readFloat(y.base + off);
-            if (got != want) {
+        return scanDense<float>(
+            {{&init, &arrays_[0]}, {&mem, &arrays_[1]}},
+            [&](std::uint64_t i, const float *v) {
+                float want = bnG2 * (bnG1 * v[0] + bnB1) + bnB2;
+                if (v[1] == want)
+                    return true;
                 std::ostringstream os;
-                os << "BN_Fwd[" << i << "]: got " << got << ", want "
+                os << "BN_Fwd[" << i << "]: got " << v[1] << ", want "
                    << want;
                 why = os.str();
                 return false;
-            }
-        }
-        return true;
+            });
     }
 
   protected:
@@ -122,24 +118,20 @@ class BnBwd : public Workload
     {
         SparseMemory init;
         initMemory(init);
-        const PimArray &dy = arrays_[0];
-        const PimArray &x = arrays_[1];
-        const PimArray &dx = arrays_[2];
-        for (std::uint64_t i = 0; i < elements_; ++i) {
-            std::uint64_t off = i * sizeof(float);
-            float dyv = init.readFloat(dy.base + off);
-            float xv = init.readFloat(x.base + off);
-            float want = bnG * (dyv + bnC * xv);
-            float got = mem.readFloat(dx.base + off);
-            if (got != want) {
+        // Columns: dy, x, and the output dx.
+        return scanDense<float>(
+            {{&init, &arrays_[0]}, {&init, &arrays_[1]},
+             {&mem, &arrays_[2]}},
+            [&](std::uint64_t i, const float *v) {
+                float want = bnG * (v[0] + bnC * v[1]);
+                if (v[2] == want)
+                    return true;
                 std::ostringstream os;
-                os << "BN_Bwd[" << i << "]: got " << got << ", want "
+                os << "BN_Bwd[" << i << "]: got " << v[2] << ", want "
                    << want;
                 why = os.str();
                 return false;
-            }
-        }
-        return true;
+            });
     }
 
   protected:

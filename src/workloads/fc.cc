@@ -79,7 +79,8 @@ class Fc : public Workload
                                          r * rowBlocksPerChannel +
                                              t) +
                             lane * lane_stride;
-                        auto vals = init.readFloats(addr, 8);
+                        float vals[8];
+                        init.read(addr, vals, sizeof(vals));
                         for (std::uint32_t i = 0; i < 8; ++i)
                             want += vals[i] * xPattern[i];
                     }

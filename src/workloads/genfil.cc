@@ -71,8 +71,7 @@ class GenFil : public Workload
                     const auto &qblk = init.blockOrZero(
                         kb.blockAddr(q, 0) + lane * lane_stride);
                     std::uint32_t bits = 0;
-                    for (std::uint64_t i = 0; i < candidateBlocks;
-                         ++i) {
+                    for (std::uint64_t i = 0; i < window(); ++i) {
                         const auto &gblk = init.blockOrZero(
                             kb.blockAddr(g, j + i) +
                             lane * lane_stride);
@@ -132,7 +131,7 @@ class GenFil : public Workload
                         .phase(g.memGroup,
                                [&](KernelBuilder &p) {
                                    for (std::uint64_t i = 1;
-                                        i < candidateBlocks; ++i)
+                                        i < window(); ++i)
                                        p.fetchOp(AluOp::PopcntAcc,
                                                  slotA, slotQ, g,
                                                  j + i);
@@ -161,21 +160,26 @@ class GenFil : public Workload
         return bytes / map_->channelSweepBytes();
     }
 
-    /** One candidate per 4-block (128 B) window. */
+    /** Blocks one candidate compares: 4 (128 B), or the whole
+     *  genome when a channel holds fewer blocks than that. */
+    std::uint64_t
+    window() const
+    {
+        return std::min(candidateBlocks, genomeBlocks());
+    }
+
+    /** One candidate per window, and at least one. */
     std::uint64_t
     candidates() const
     {
-        return std::max<std::uint64_t>(1,
-                                       genomeBlocks() /
-                                           candidateBlocks);
+        return std::max<std::uint64_t>(1, genomeBlocks() / window());
     }
 
     /** Irregular candidate location (hash-derived). */
     std::uint64_t
     candidateBlock(std::uint64_t t) const
     {
-        std::uint64_t windows = genomeBlocks() / candidateBlocks;
-        return (hashMix(0x6e0f11, t) % windows) * candidateBlocks;
+        return (hashMix(0x6e0f11, t) % candidates()) * window();
     }
 
 };

@@ -10,6 +10,7 @@
  * scales inversely with TS size.
  */
 
+#include <algorithm>
 #include <sstream>
 #include <vector>
 
@@ -55,6 +56,12 @@ class Hist : public Workload
         std::uint64_t lane_stride = map_->laneStride();
         std::uint32_t bin_slots = binSlots();
         std::uint64_t seg_blocks = segmentBlocks();
+        if (bin_slots == 0) {
+            why = "Hist: the TS holds no bin slot";
+            return false;
+        }
+        // The ALU saturates values past the last bin into it.
+        const std::uint32_t last_bin = bin_slots * 8 - 1;
 
         for (std::uint16_t ch = 0; ch < cfg_.numChannels; ++ch) {
             KernelBuilder kb(*map_, ch);
@@ -73,9 +80,11 @@ class Hist : public Workload
                         std::uint64_t addr =
                             kb.blockAddr(data, j) +
                             lane * lane_stride;
-                        auto vals = init.readFloats(addr, 8);
+                        float vals[8];
+                        init.read(addr, vals, sizeof(vals));
                         for (float v : vals)
-                            ++want[std::uint32_t(v)];
+                            ++want[std::min(std::uint32_t(v),
+                                            last_bin)];
                     }
                     for (std::uint32_t b = 0; b < bin_slots; ++b) {
                         std::uint64_t oaddr =

@@ -91,7 +91,8 @@ class Kmeans : public Workload
                      ++lane) {
                     std::uint64_t paddr = kb.blockAddr(p, j) +
                                           lane * lane_stride;
-                    auto point = init.readFloats(paddr, 8);
+                    float point[8];
+                    init.read(paddr, point, sizeof(point));
                     float want = 0.0f;
                     for (std::uint32_t c = 0; c < numCenters; ++c) {
                         for (std::uint32_t d = 0; d < 8; ++d) {

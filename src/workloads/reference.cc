@@ -31,31 +31,61 @@ runGolden(const SystemConfig &cfg, const AddressMap &map,
     }
 }
 
+namespace
+{
+
+/** Reports the first differing element of one 32 B block. */
+bool
+blockMismatch(const std::uint8_t *a, const std::uint8_t *b,
+              const PimArray &array, std::uint64_t off,
+              std::string &why)
+{
+    for (std::uint32_t i = 0; i < 8; ++i) {
+        float ga, gb;
+        std::memcpy(&ga, a + 4 * i, 4);
+        std::memcpy(&gb, b + 4 * i, 4);
+        if (ga != gb || std::memcmp(a + 4 * i, b + 4 * i, 4)) {
+            std::ostringstream os;
+            os << array.name << "[byte " << (off + 4 * i)
+               << "]: got " << ga << ", want " << gb;
+            why = os.str();
+            return false;
+        }
+    }
+    why = array.name + ": raw block mismatch";
+    return false;
+}
+
+} // namespace
+
 bool
 compareArray(const SparseMemory &got, const SparseMemory &want,
              const PimArray &array, std::string &why)
 {
-    for (std::uint64_t off = 0; off < array.bytes; off += 32) {
-        std::uint64_t addr = array.base + off;
-        const auto &a = got.blockOrZero(addr);
-        const auto &b = want.blockOrZero(addr);
-        if (a != b) {
-            for (std::uint32_t i = 0; i < 8; ++i) {
-                float ga, gb;
-                std::memcpy(&ga, a.data() + 4 * i, 4);
-                std::memcpy(&gb, b.data() + 4 * i, 4);
-                if (ga != gb || std::memcmp(a.data() + 4 * i,
-                                            b.data() + 4 * i, 4)) {
-                    std::ostringstream os;
-                    os << array.name << "[byte " << (off + 4 * i)
-                       << "]: got " << ga << ", want " << gb;
-                    why = os.str();
-                    return false;
-                }
+    // The array's whole 32 B blocks, a page at a time: one index
+    // lookup and one memcmp per page; only a differing page is
+    // rescanned block by block for the first mismatch.
+    static const std::uint8_t zeros[SparseMemory::pageBytes] = {};
+    constexpr std::uint64_t blk = SparseMemory::blockBytes;
+    const std::uint64_t start = array.base - array.base % blk;
+    const std::uint64_t end = (array.bytes + blk - 1) / blk * blk;
+    for (std::uint64_t off = 0; off < end;) {
+        std::uint64_t addr = start + off;
+        std::uint64_t inPage = addr % SparseMemory::pageBytes;
+        std::uint64_t take =
+            std::min(end - off, SparseMemory::pageBytes - inPage);
+        const std::uint8_t *a = got.pageData(addr);
+        const std::uint8_t *b = want.pageData(addr);
+        a = (a ? a : zeros) + inPage;
+        b = (b ? b : zeros) + inPage;
+        if (std::memcmp(a, b, take) != 0) {
+            for (std::uint64_t k = 0;; k += blk) {
+                if (std::memcmp(a + k, b + k, blk) != 0)
+                    return blockMismatch(a + k, b + k, array,
+                                         off + k, why);
             }
-            why = array.name + ": raw block mismatch";
-            return false;
         }
+        off += take;
     }
     return true;
 }
@@ -110,13 +140,18 @@ void
 Workload::fillBytes(SparseMemory &mem, const PimArray &arr,
                     std::uint64_t seed) const
 {
+    // One random word per 8 bytes in address order, written a page
+    // at a time; whole 32 B blocks, like every other fill.
     Rng rng(seed);
-    for (std::uint64_t off = 0; off < arr.bytes; off += 32) {
-        auto &blk = mem.block(arr.base + off);
-        for (std::uint32_t i = 0; i < 32; i += 8) {
-            std::uint64_t v = rng.next();
-            std::memcpy(blk.data() + i, &v, 8);
-        }
+    std::uint64_t bytes = (arr.bytes + 31) / 32 * 32;
+    std::vector<std::uint64_t> chunk(SparseMemory::pageBytes / 8);
+    for (std::uint64_t off = 0; off < bytes;
+         off += SparseMemory::pageBytes) {
+        std::size_t n = std::min<std::uint64_t>(SparseMemory::pageBytes,
+                                                bytes - off);
+        for (std::size_t i = 0; i < n / 8; ++i)
+            chunk[i] = rng.next();
+        mem.write(arr.base + off, chunk.data(), n);
     }
 }
 
@@ -124,8 +159,15 @@ void
 Workload::fillBlockPattern(SparseMemory &mem, const PimArray &arr,
                            const float (&pattern)[8]) const
 {
-    for (std::uint64_t off = 0; off < arr.bytes; off += 32)
-        mem.write(arr.base + off, pattern, 32);
+    std::vector<float> page(SparseMemory::pageBytes / sizeof(float));
+    for (std::size_t i = 0; i < page.size(); ++i)
+        page[i] = pattern[i % 8];
+    std::uint64_t bytes = (arr.bytes + 31) / 32 * 32;
+    for (std::uint64_t off = 0; off < bytes;
+         off += SparseMemory::pageBytes)
+        mem.write(arr.base + off, page.data(),
+                  std::min<std::uint64_t>(SparseMemory::pageBytes,
+                                          bytes - off));
 }
 
 HostArraySpec

@@ -93,47 +93,40 @@ class StreamWorkload : public Workload
         // Recompute the inputs from their deterministic seeds.
         SparseMemory init;
         initMemory(init);
-        for (std::uint64_t i = 0; i < elements_; ++i) {
-            std::uint64_t off = i * sizeof(float);
-            float a = init.readFloat(arrays_[0].base + off);
-            float want = 0.0f, got = 0.0f;
-            switch (kernel_) {
-              case StreamKernel::Scale:
-                want = streamScalar * a;
-                got = mem.readFloat(arrays_[0].base + off);
-                break;
-              case StreamKernel::Copy:
-                want = a;
-                got = mem.readFloat(arrays_[1].base + off);
-                break;
-              case StreamKernel::Daxpy: {
-                float b = init.readFloat(arrays_[1].base + off);
-                want = b + streamScalar * a;
-                got = mem.readFloat(arrays_[1].base + off);
-                break;
-              }
-              case StreamKernel::Triad: {
-                float b = init.readFloat(arrays_[1].base + off);
-                want = a + streamScalar * b;
-                got = mem.readFloat(arrays_[2].base + off);
-                break;
-              }
-              case StreamKernel::Add: {
-                float b = init.readFloat(arrays_[1].base + off);
-                want = a + b;
-                got = mem.readFloat(arrays_[2].base + off);
-                break;
-              }
-            }
-            if (got != want) {
+        // Columns: input a, input b (a again for Scale), and the
+        // output, which is always the last array (a itself for Scale,
+        // b for Daxpy).
+        const PimArray &a = arrays_[0];
+        const PimArray &b = arrays_.size() > 1 ? arrays_[1] : a;
+        return scanDense<float>(
+            {{&init, &a}, {&init, &b}, {&mem, &arrays_.back()}},
+            [&](std::uint64_t i, const float *v) {
+                float want = 0.0f;
+                switch (kernel_) {
+                  case StreamKernel::Scale:
+                    want = streamScalar * v[0];
+                    break;
+                  case StreamKernel::Copy:
+                    want = v[0];
+                    break;
+                  case StreamKernel::Daxpy:
+                    want = v[1] + streamScalar * v[0];
+                    break;
+                  case StreamKernel::Triad:
+                    want = v[0] + streamScalar * v[1];
+                    break;
+                  case StreamKernel::Add:
+                    want = v[0] + v[1];
+                    break;
+                }
+                if (v[2] == want)
+                    return true;
                 std::ostringstream os;
-                os << info().name << "[" << i << "]: got " << got
+                os << info().name << "[" << i << "]: got " << v[2]
                    << ", want " << want;
                 why = os.str();
                 return false;
-            }
-        }
-        return true;
+            });
     }
 
   protected:

@@ -70,7 +70,8 @@ class Svm : public Workload
                      ++lane) {
                     std::uint64_t xaddr = kb.blockAddr(x, j) +
                                           lane * lane_stride;
-                    auto sample = init.readFloats(xaddr, 8);
+                    float sample[8];
+                    init.read(xaddr, sample, sizeof(sample));
                     float margin = svmBias;
                     for (std::uint32_t i = 0; i < 8; ++i)
                         margin += sample[i] * wPattern[i];
@@ -81,7 +82,8 @@ class Svm : public Workload
                             std::max(0.0f, 1.0f - sample[i]);
                     std::uint64_t oaddr = kb.blockAddr(out, j) +
                                           lane * lane_stride;
-                    auto got = mem.readFloats(oaddr, 8);
+                    float got[8];
+                    mem.read(oaddr, got, sizeof(got));
                     for (std::uint32_t i = 0; i < 8; ++i) {
                         if (got[i] != want[i]) {
                             std::ostringstream os;

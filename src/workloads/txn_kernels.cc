@@ -83,10 +83,12 @@ class TxnXfer : public Workload
                      ++lane) {
                     std::uint64_t addr = kb.blockAddr(accts, b) +
                                          lane * lane_stride;
+                    float before[8], after[8];
+                    init.read(addr, before, sizeof(before));
+                    mem.read(addr, after, sizeof(after));
                     for (std::uint32_t e = 0; e < 8; ++e) {
-                        float want =
-                            init.readFloat(addr + 4 * e) + net[b];
-                        float got = mem.readFloat(addr + 4 * e);
+                        float want = before[e] + net[b];
+                        float got = after[e];
                         if (got != want) {
                             std::ostringstream os;
                             os << "Txn_Xfer[ch" << ch << " blk "
@@ -215,10 +217,13 @@ class TxnLog : public Workload
                                        lane * lane_stride;
                     std::uint64_t al = kb.blockAddr(log, t) +
                                        lane * lane_stride;
+                    float v1[8], v2[8], logged[8];
+                    init.read(a1, v1, sizeof(v1));
+                    init.read(a2, v2, sizeof(v2));
+                    mem.read(al, logged, sizeof(logged));
                     for (std::uint32_t e = 0; e < 8; ++e) {
-                        float want = init.readFloat(a1 + 4 * e) +
-                                     init.readFloat(a2 + 4 * e);
-                        float got = mem.readFloat(al + 4 * e);
+                        float want = v1[e] + v2[e];
+                        float got = logged[e];
                         if (got != want) {
                             std::ostringstream os;
                             os << "Txn_Log[ch" << ch << " txn " << t

@@ -19,6 +19,7 @@
 #ifndef OLIGHT_WORKLOADS_WORKLOAD_HH
 #define OLIGHT_WORKLOADS_WORKLOAD_HH
 
+#include <algorithm>
 #include <cstdint>
 #include <memory>
 #include <string>
@@ -112,6 +113,44 @@ class Workload
     /** Write the same 8-float pattern into every 32 B block. */
     void fillBlockPattern(SparseMemory &mem, const PimArray &arr,
                           const float (&pattern)[8]) const;
+
+    /** One column of scanDense(): array @p arr as held in @p mem. */
+    struct DenseColumn
+    {
+        const SparseMemory *mem;
+        const PimArray *arr;
+    };
+
+    /**
+     * Element-wise scan of dense 32-bit arrays for check(): calls
+     * @p fn(i, v) for i in [0, elements_) in order, where v[c] is
+     * element i of column c. Columns are read a 4 KiB page at a time
+     * (one store lookup per page); the first false return ends the
+     * scan and is returned.
+     */
+    template <typename T, std::size_t N, typename Fn>
+    bool
+    scanDense(const DenseColumn (&cols)[N], Fn &&fn) const
+    {
+        static_assert(sizeof(T) == 4);
+        constexpr std::size_t kPage = SparseMemory::pageBytes / 4;
+        std::vector<T> buf(N * kPage);
+        for (std::uint64_t i0 = 0; i0 < elements_; i0 += kPage) {
+            std::size_t n = std::min<std::uint64_t>(kPage,
+                                                    elements_ - i0);
+            for (std::size_t c = 0; c < N; ++c)
+                cols[c].mem->read(cols[c].arr->base + 4 * i0,
+                                  &buf[c * kPage], 4 * n);
+            for (std::size_t k = 0; k < n; ++k) {
+                T v[N];
+                for (std::size_t c = 0; c < N; ++c)
+                    v[c] = buf[c * kPage + k];
+                if (!fn(i0 + k, v))
+                    return false;
+            }
+        }
+        return true;
+    }
 
     SystemConfig cfg_;
     std::unique_ptr<AddressMap> map_;

@@ -9,11 +9,16 @@
 #include <gtest/gtest.h>
 
 #include <array>
+#include <deque>
+#include <functional>
 #include <memory>
+#include <set>
+#include <tuple>
 #include <vector>
 
 #include "sim/callback.hh"
 #include "sim/event_queue.hh"
+#include "sim/random.hh"
 
 namespace olight
 {
@@ -33,6 +38,28 @@ TEST(EventCallback, DestructorRunsExactlyOnceAfterInvocation)
         // leaked, not destroyed twice (use_count would underflow
         // into heap corruption long before this check).
         EXPECT_EQ(sentinel.use_count(), 1);
+    }
+    EXPECT_EQ(sentinel.use_count(), 1);
+
+    // Callbacks still pending when the queue dies — inline and
+    // heap-stored, some in slots freed and reused by earlier events
+    // — are destroyed exactly once with it.
+    {
+        EventQueue eq;
+        std::array<char, 200> pad{};
+        for (Tick t = 1; t <= 8; ++t)
+            eq.schedule(t, [keep = sentinel] { (void)*keep; });
+        eq.run(4); // frees four slots
+        for (Tick t = 10; t < 16; ++t) {
+            if (t % 2)
+                eq.schedule(t, [keep = sentinel] { (void)*keep; });
+            else
+                eq.schedule(t, [keep = sentinel, pad] {
+                    (void)*keep;
+                    (void)pad;
+                });
+        }
+        EXPECT_EQ(sentinel.use_count(), 1 + 4 + 6);
     }
     EXPECT_EQ(sentinel.use_count(), 1);
 }
@@ -160,6 +187,79 @@ TEST(EventQueueFastPath, RawAndClosureEventsInterleaveByPriority)
                 EventPriority::DramTiming);
     eq.run();
     EXPECT_EQ(order, (std::vector<int>{0, 1, 2}));
+
+    // Many push/pop cycles mixing inline, heap-stored (> 96 B) and
+    // raw callbacks, where running events schedule more (reusing the
+    // slots just freed, and growing a table reserved for one event
+    // under the running callback): every pop must be the least
+    // pending key (when, priority, stamp, sequence) of a reference
+    // model.
+    EventQueue small(1);
+    using RefKey = std::tuple<Tick, int, Tick, std::uint64_t>;
+    std::set<RefKey> pending;
+    std::uint64_t seq = 0, popped = 0, misordered = 0;
+    Rng rng(42);
+    auto onRun = [&](const RefKey &k) {
+        ++popped;
+        if (pending.empty() || *pending.begin() != k)
+            ++misordered;
+        pending.erase(k);
+    };
+    std::function<void(const RefKey &)> runRaw = onRun;
+    struct RawCtx
+    {
+        std::function<void(const RefKey &)> *run;
+        RefKey key;
+    };
+    std::deque<RawCtx> rawCtx; // stable addresses for raw contexts
+    std::function<void(int)> spawn = [&](int depth) {
+        const Tick when = small.now() + rng.nextRange(40);
+        const int prio = 10 * int(rng.nextRange(4));
+        const RefKey k{when, prio, small.now(), seq++};
+        pending.insert(k);
+        const auto p = static_cast<EventPriority>(prio);
+        auto body = [&, k, depth] {
+            onRun(k);
+            if (depth > 0)
+                for (int i = 0; i < 2; ++i)
+                    spawn(depth - 1);
+        };
+        switch (rng.nextRange(3)) {
+          case 0:
+            small.schedule(when, body, p);
+            break;
+          case 1: {
+            std::array<std::uint64_t, 16> pad{};
+            small.schedule(
+                when,
+                [body, pad] {
+                    (void)pad;
+                    body();
+                },
+                p);
+            break;
+          }
+          default:
+            rawCtx.push_back({&runRaw, k});
+            small.scheduleAt(
+                when,
+                [](void *c) {
+                    auto *x = static_cast<RawCtx *>(c);
+                    (*x->run)(x->key);
+                },
+                &rawCtx.back(), p);
+            break;
+        }
+    };
+    for (int round = 0; round < 50; ++round) {
+        for (int i = 0; i < 8; ++i)
+            spawn(int(rng.nextRange(4)));
+        small.run(small.now() + 30);
+    }
+    small.run();
+    EXPECT_EQ(popped, seq);
+    EXPECT_EQ(misordered, 0u);
+    EXPECT_TRUE(pending.empty());
 }
 
 } // namespace

@@ -6,6 +6,9 @@
 
 #include <gtest/gtest.h>
 
+#include <sstream>
+
+#include "core/runner.hh"
 #include "core/system.hh"
 #include "workloads/reference.hh"
 #include "workloads/registry.hh"
@@ -86,6 +89,44 @@ TEST(GoldenExecutor, MatchesMathReferenceForEveryWorkload)
         std::string why;
         EXPECT_TRUE(w->check(golden, why)) << name << ": " << why;
     }
+
+    // Edge geometries, simulated under every enforcing mode too:
+    // Gen_Fil with fewer than four genome blocks per channel (one
+    // short window), and Hist at ts 64, whose eight bins saturate
+    // values past the last bin.
+    struct Edge
+    {
+        const char *workload;
+        std::uint64_t elements;
+        std::uint32_t tsBytes;
+    };
+    for (const Edge &e : {Edge{"Gen_Fil", 2048, 256},
+                          Edge{"Gen_Fil", 4096, 256},
+                          Edge{"Hist", 1ull << 14, 64}}) {
+        for (OrderingMode mode :
+             {OrderingMode::Fence, OrderingMode::OrderLight,
+              OrderingMode::Louvre}) {
+            RunOptions opts;
+            opts.workload = e.workload;
+            opts.elements = e.elements;
+            opts.tsBytes = e.tsBytes;
+            opts.mode = mode;
+            RunResult r = runWorkload(opts);
+            EXPECT_TRUE(r.verified && r.correct)
+                << e.workload << " at " << e.elements << " elements, ts "
+                << e.tsBytes << ", " << toString(mode) << ": " << r.why;
+        }
+    }
+    // With no bin slot in the TS (ts 32) Hist's check reports a
+    // mismatch instead of indexing an empty bin table.
+    SystemConfig tiny;
+    tiny.tsBytes = 32;
+    auto hist = makeWorkload("Hist");
+    hist->build(tiny, 1ull << 12);
+    SparseMemory mem;
+    std::string why;
+    EXPECT_FALSE(hist->check(mem, why));
+    EXPECT_NE(why.find("no bin slot"), std::string::npos) << why;
 }
 
 TEST(GoldenExecutor, DetectsTamperedResults)
@@ -106,6 +147,31 @@ TEST(GoldenExecutor, DetectsTamperedResults)
     EXPECT_FALSE(compareArray(tampered, golden, out, why));
     EXPECT_NE(why.find("out_c"), std::string::npos);
     EXPECT_FALSE(w->check(tampered, why));
+
+    // The compare reports the first differing element by byte
+    // offset, for a flip mid-page and for one in a page's last
+    // element (the page-wise memcmp must not skip either).
+    auto expectFirst = [&](std::uint64_t elem, float delta) {
+        SparseMemory t = golden;
+        const float want = golden.readFloat(out.base + 4 * elem);
+        t.writeFloat(out.base + 4 * elem, want + delta);
+        t.writeFloat(out.base + 4 * (elem + 5000),
+                     golden.readFloat(out.base + 4 * (elem + 5000)) +
+                         1.0f);
+        std::ostringstream os;
+        os << "out_c[byte " << 4 * elem << "]: got " << want + delta
+           << ", want " << want;
+        std::string msg;
+        EXPECT_FALSE(compareArray(t, golden, out, msg));
+        EXPECT_EQ(msg, os.str());
+    };
+    const std::uint64_t perPage = SparseMemory::pageBytes / 4;
+    expectFirst(perPage + 300, 2.0f);
+    expectFirst(3 * perPage - 1, -4.0f);
+    // Identical memories compare equal, untouched pages included.
+    EXPECT_TRUE(compareArray(golden, golden, out, why));
+    SparseMemory empty;
+    EXPECT_TRUE(compareArray(empty, SparseMemory{}, out, why));
 }
 
 TEST(KernelBuilder, BlockAddressesAreChannelLocal)

@@ -2,7 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <cstring>
 #include <sstream>
+#include <thread>
+#include <vector>
 
 #include "dram/storage.hh"
 #include "sim/random.hh"
@@ -18,7 +21,25 @@ TEST(SparseMemory, ZeroOnFirstTouch)
     SparseMemory mem;
     EXPECT_EQ(mem.readFloat(0x1000), 0.0f);
     EXPECT_EQ(mem.readU32(0xdeadbe0), 0u);
-    EXPECT_EQ(mem.numBlocks(), 0u);
+    EXPECT_EQ(mem.numPages(), 0u);
+
+    // Reads of never-written pages see zeros and allocate nothing,
+    // also across a page boundary and block by block.
+    const SparseMemory::Block zero{};
+    EXPECT_EQ(mem.blockOrZero(0x7fe0), zero);
+    EXPECT_EQ(mem.pageData(0x7fe0), nullptr);
+    std::vector<std::uint8_t> buf(3 * SparseMemory::pageBytes, 0xaa);
+    mem.read(0x7ff0, buf.data(), buf.size());
+    EXPECT_EQ(buf, std::vector<std::uint8_t>(buf.size(), 0));
+    EXPECT_EQ(mem.numPages(), 0u);
+
+    // A first touch allocates the whole page, zero-filled.
+    mem.writeU32(0x2004, 7);
+    EXPECT_EQ(mem.numPages(), 1u);
+    EXPECT_EQ(mem.readU32(0x2000), 0u);
+    EXPECT_EQ(mem.readU32(0x2ffc), 0u);
+    EXPECT_EQ(mem.block(0x2fe0), zero);
+    EXPECT_EQ(mem.numPages(), 1u);
 }
 
 TEST(SparseMemory, ReadWriteRoundTrip)
@@ -29,6 +50,42 @@ TEST(SparseMemory, ReadWriteRoundTrip)
     mem.writeU32(0x44, 0xabcdef01u);
     EXPECT_EQ(mem.readU32(0x44), 0xabcdef01u);
     EXPECT_EQ(mem.readFloat(0x40), 3.5f);
+
+    // The same under concurrent first touch, as the windowed driver's
+    // channel PIM units do it: several threads write disjoint 256 B
+    // chunks of the same pages at once, and each chunk must land in
+    // the one page they all share (run under TSan by the
+    // storage_tsan ctest entry).
+    constexpr unsigned kThreads = 4;
+    constexpr std::uint64_t kChunk = 256;
+    constexpr std::uint64_t kPages = 64;
+    constexpr std::uint64_t kBase = 0x40000000;
+    SparseMemory shared;
+    std::vector<std::thread> threads;
+    for (unsigned t = 0; t < kThreads; ++t) {
+        threads.emplace_back([&shared, t] {
+            std::uint8_t chunk[kChunk];
+            std::memset(chunk, int(0x10 + t), kChunk);
+            for (std::uint64_t c = t;
+                 c * kChunk < kPages * SparseMemory::pageBytes;
+                 c += kThreads) {
+                if (c % 2)
+                    shared.write(kBase + c * kChunk, chunk, kChunk);
+                else
+                    std::memcpy(shared.block(kBase + c * kChunk).data(),
+                                chunk, SparseMemory::blockBytes);
+            }
+        });
+    }
+    for (std::thread &th : threads)
+        th.join();
+    EXPECT_EQ(shared.numPages(), kPages);
+    for (std::uint64_t c = 0;
+         c * kChunk < kPages * SparseMemory::pageBytes; ++c) {
+        const auto &blk = shared.blockOrZero(kBase + c * kChunk);
+        ASSERT_EQ(blk[0], 0x10 + c % kThreads) << "chunk " << c;
+        ASSERT_EQ(blk[31], 0x10 + c % kThreads) << "chunk " << c;
+    }
 }
 
 TEST(SparseMemory, UnalignedCrossBlockAccess)
@@ -45,6 +102,35 @@ TEST(SparseMemory, UnalignedCrossBlockAccess)
     std::uint8_t b;
     mem.read(0x3d, &b, 1);
     EXPECT_EQ(b, 0);
+
+    // An unaligned write spanning two pages lands in both, and only
+    // there.
+    const std::uint64_t span = 2 * SparseMemory::pageBytes - 50;
+    mem.write(span, data, 100);
+    std::memset(out, 0, sizeof(out));
+    mem.read(span, out, 100);
+    EXPECT_EQ(std::memcmp(data, out, 100), 0);
+    EXPECT_EQ(mem.numPages(), 3u);
+    mem.read(span - 1, &b, 1);
+    EXPECT_EQ(b, 0);
+    mem.read(span + 100, &b, 1);
+    EXPECT_EQ(b, 0);
+
+    // The last block of a page is its own; block() and blockOrZero()
+    // see the bytes write() put there, and the next page's first
+    // block is untouched.
+    const std::uint64_t last =
+        3 * SparseMemory::pageBytes - SparseMemory::blockBytes;
+    SparseMemory::Block &blk = mem.block(last);
+    for (std::uint32_t i = 0; i < SparseMemory::blockBytes; ++i)
+        blk[i] = std::uint8_t(0xc0 + i);
+    EXPECT_EQ(mem.readU32(last + 28), 0xdfdedddcu);
+    EXPECT_EQ(&mem.blockOrZero(last), &blk);
+    EXPECT_EQ(mem.blockOrZero(last + SparseMemory::blockBytes),
+              SparseMemory::Block{});
+    EXPECT_EQ(mem.pageData(last) + SparseMemory::pageBytes -
+                  SparseMemory::blockBytes,
+              blk.data());
 }
 
 TEST(SparseMemory, BulkFloatHelpers)
@@ -53,6 +139,27 @@ TEST(SparseMemory, BulkFloatHelpers)
     std::vector<float> vals = {1, 2, 3, 4, 5, 6, 7, 8, 9};
     mem.writeFloats(0x100, vals);
     EXPECT_EQ(mem.readFloats(0x100, 9), vals);
+
+    // A copy is deep: writes to either side stay on that side.
+    std::vector<float> big(3000);
+    for (std::size_t i = 0; i < big.size(); ++i)
+        big[i] = float(i);
+    mem.writeFloats(0x10000, big);
+    SparseMemory copy = mem;
+    EXPECT_EQ(copy.numPages(), mem.numPages());
+    mem.writeFloat(0x100, -1.0f);
+    copy.writeFloat(0x10000 + 4 * 2999, -2.0f);
+    EXPECT_EQ(copy.readFloats(0x100, 9), vals);
+    EXPECT_EQ(mem.readFloat(0x10000 + 4 * 2999), 2999.0f);
+    EXPECT_EQ(copy.readFloats(0x10000, 2999),
+              std::vector<float>(big.begin(), big.end() - 1));
+    EXPECT_NE(copy.pageData(0x10000), mem.pageData(0x10000));
+    SparseMemory assigned;
+    assigned.writeFloat(0x50000, 5.0f);
+    assigned = copy;
+    EXPECT_EQ(assigned.readFloat(0x50000), 0.0f);
+    EXPECT_EQ(assigned.readFloat(0x10000 + 4 * 2999), -2.0f);
+    EXPECT_EQ(assigned.numPages(), copy.numPages());
 }
 
 TEST(SparseMemoryDeath, UnalignedBlockPanics)
