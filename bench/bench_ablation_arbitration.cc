@@ -52,7 +52,7 @@ run(ArbitrationGranularity arb, std::uint64_t elements)
 } // namespace
 
 int
-main(int argc, char **argv)
+main()
 {
     SystemConfig cfg = configFor(OrderingMode::OrderLight, 256, 16);
     bench::printHeader(
@@ -87,8 +87,5 @@ main(int argc, char **argv)
                  "computations).\n\n"
               << std::defaultfloat;
 
-    bench::registerSimBenchmark("sim/Add/OrderLight/fga", "Add",
-                                OrderingMode::OrderLight, 256, 16,
-                                elements);
-    return bench::runBenchmarkMain(argc, argv);
+    return 0;
 }

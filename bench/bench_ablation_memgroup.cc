@@ -61,7 +61,7 @@ run(std::uint8_t hostGroup, std::uint64_t elements)
 } // namespace
 
 int
-main(int argc, char **argv)
+main()
 {
     SystemConfig cfg = configFor(OrderingMode::OrderLight, 256, 16);
     bench::printHeader(
@@ -100,9 +100,5 @@ main(int argc, char **argv)
                  "possible).\n\n"
               << std::defaultfloat;
 
-    bench::registerSimBenchmark("sim/Gen_Fil/OrderLight/grouped",
-                                "Gen_Fil",
-                                OrderingMode::OrderLight, 256, 16,
-                                elements);
-    return bench::runBenchmarkMain(argc, argv);
+    return 0;
 }

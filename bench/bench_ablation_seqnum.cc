@@ -21,7 +21,7 @@
 using namespace olight;
 
 int
-main(int argc, char **argv)
+main()
 {
     SystemConfig cfg = configFor(OrderingMode::SeqNum, 256, 16);
     bench::printHeader(
@@ -74,8 +74,5 @@ main(int argc, char **argv)
                  "lack (Section 8.1).\n\n"
               << std::defaultfloat;
 
-    bench::registerSimBenchmark("sim/Add/SeqNum/ts256", "Add",
-                                OrderingMode::SeqNum, 256, 16,
-                                elements);
-    return bench::runBenchmarkMain(argc, argv);
+    return 0;
 }

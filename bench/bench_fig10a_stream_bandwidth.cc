@@ -14,7 +14,7 @@
 using namespace olight;
 
 int
-main(int argc, char **argv)
+main()
 {
     SystemConfig cfg = configFor(OrderingMode::OrderLight, 256, 16);
     bench::printHeader(
@@ -68,8 +68,5 @@ main(int argc, char **argv)
                  "4.3x on average).\n\n"
               << std::defaultfloat;
 
-    bench::registerSimBenchmark("sim/Triad/OrderLight/ts512",
-                                "Triad", OrderingMode::OrderLight,
-                                512, 16, elements);
-    return bench::runBenchmarkMain(argc, argv);
+    return 0;
 }

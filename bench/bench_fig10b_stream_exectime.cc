@@ -14,7 +14,7 @@
 using namespace olight;
 
 int
-main(int argc, char **argv)
+main()
 {
     SystemConfig cfg = configFor(OrderingMode::OrderLight, 256, 16);
     bench::printHeader(
@@ -74,8 +74,5 @@ main(int argc, char **argv)
                  "2x-3.4x).\n\n"
               << std::defaultfloat;
 
-    bench::registerSimBenchmark("sim/Copy/Fence/ts1024", "Copy",
-                                OrderingMode::Fence, 1024, 16,
-                                elements);
-    return bench::runBenchmarkMain(argc, argv);
+    return 0;
 }

@@ -49,7 +49,7 @@ measuredCyclePerBurst(std::uint32_t burst)
 } // namespace
 
 int
-main(int argc, char **argv)
+main()
 {
     SystemConfig cfg = configFor(OrderingMode::OrderLight, 256, 16);
     bench::printHeader(
@@ -93,8 +93,5 @@ main(int argc, char **argv)
            "achieves 2.1 GC/s (~91%).\n\n"
         << std::defaultfloat;
 
-    bench::registerSimBenchmark("sim/Add/OrderLight/ts256", "Add",
-                                OrderingMode::OrderLight, 256, 16,
-                                bench::defaultElements());
-    return bench::runBenchmarkMain(argc, argv);
+    return 0;
 }

@@ -13,7 +13,7 @@
 using namespace olight;
 
 int
-main(int argc, char **argv)
+main()
 {
     SystemConfig cfg = configFor(OrderingMode::OrderLight, 256, 16);
     bench::printHeader(
@@ -72,8 +72,5 @@ main(int argc, char **argv)
                  "which grows the fence burden.\n\n"
               << std::defaultfloat;
 
-    bench::registerSimBenchmark("sim/Add/OrderLight/bmf4", "Add",
-                                OrderingMode::OrderLight, 256, 4,
-                                elements);
-    return bench::runBenchmarkMain(argc, argv);
+    return 0;
 }

@@ -15,7 +15,7 @@
 using namespace olight;
 
 int
-main(int argc, char **argv)
+main()
 {
     SystemConfig cfg = configFor(OrderingMode::Fence, 256, 16);
     bench::printHeader(
@@ -97,14 +97,5 @@ main(int argc, char **argv)
     }
     std::cout << "\n";
 
-    bench::registerSimBenchmark("sim/Add/None", "Add",
-                                OrderingMode::None, 256, 16,
-                                elements);
-    bench::registerSimBenchmark("sim/Add/Fence/ts128", "Add",
-                                OrderingMode::Fence, 128, 16,
-                                elements);
-    bench::registerSimBenchmark("sim/Add/Louvre/ts128", "Add",
-                                OrderingMode::Louvre, 128, 16,
-                                elements);
-    return bench::runBenchmarkMain(argc, argv);
+    return 0;
 }

@@ -1,8 +1,7 @@
 /**
  * @file
  * Table 1 + Figure 1: print the simulated configuration and the PIM
- * taxonomy with literature placements, and benchmark a reference
- * simulation to document simulator throughput at this config.
+ * taxonomy with literature placements.
  */
 
 #include <iomanip>
@@ -14,7 +13,7 @@
 using namespace olight;
 
 int
-main(int argc, char **argv)
+main()
 {
     SystemConfig cfg = configFor(OrderingMode::OrderLight, 256, 16);
     bench::printHeader(
@@ -40,11 +39,5 @@ main(int argc, char **argv)
     }
     std::cout << "\nThis work targets FGO/FGA (Section 3.5).\n\n";
 
-    bench::registerSimBenchmark("sim/Add/OrderLight/ts256", "Add",
-                                OrderingMode::OrderLight, 256, 16,
-                                bench::defaultElements());
-    bench::registerSimBenchmark("sim/Add/Fence/ts256", "Add",
-                                OrderingMode::Fence, 256, 16,
-                                bench::defaultElements());
-    return bench::runBenchmarkMain(argc, argv);
+    return 0;
 }

@@ -15,7 +15,7 @@
 using namespace olight;
 
 int
-main(int argc, char **argv)
+main()
 {
     SystemConfig cfg = configFor(OrderingMode::OrderLight, 256, 16);
     bench::printHeader("Table 2: summary of workloads", cfg);
@@ -56,8 +56,5 @@ main(int argc, char **argv)
     }
     std::cout << "\n";
 
-    bench::registerSimBenchmark("sim/KMeans/OrderLight/ts256",
-                                "KMeans", OrderingMode::OrderLight,
-                                256, 16, bench::defaultElements());
-    return bench::runBenchmarkMain(argc, argv);
+    return 0;
 }

@@ -71,37 +71,4 @@ geomean(const std::vector<double> &values)
     return std::exp(log_sum / double(values.size()));
 }
 
-void
-registerSimBenchmark(const std::string &name,
-                     const std::string &workload, OrderingMode mode,
-                     std::uint32_t tsBytes, std::uint32_t bmf,
-                     std::uint64_t elements)
-{
-    benchmark::RegisterBenchmark(
-        name.c_str(),
-        [=](benchmark::State &state) {
-            double sim_ms = 0.0;
-            std::uint64_t commands = 0;
-            for (auto _ : state) {
-                RunResult r = runPoint(workload, mode, tsBytes, bmf,
-                                       elements);
-                sim_ms = r.metrics.execMs;
-                commands = r.metrics.pimCommands;
-            }
-            state.counters["sim_ms"] = sim_ms;
-            state.counters["pim_cmds"] = double(commands);
-        })
-        ->Unit(benchmark::kMillisecond)
-        ->Iterations(1);
-}
-
-int
-runBenchmarkMain(int argc, char **argv)
-{
-    benchmark::Initialize(&argc, argv);
-    benchmark::RunSpecifiedBenchmarks();
-    benchmark::Shutdown();
-    return 0;
-}
-
 } // namespace olight::bench

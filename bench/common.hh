@@ -2,8 +2,8 @@
  * @file
  * Shared helpers for the benchmark binaries. Each binary reproduces
  * one table or figure of the paper: it prints the same rows/series
- * the paper reports (simulated metrics), then runs a small
- * google-benchmark suite timing the simulator itself.
+ * the paper reports (simulated metrics). Simulator speed is measured
+ * by bench_perf_sweep and perfbench/, not here.
  *
  * Problem sizes scale with the OLIGHT_BENCH_ELEMENTS environment
  * variable (fp32 elements per principal array, default 2^18).
@@ -15,8 +15,6 @@
 #include <cstdint>
 #include <string>
 #include <vector>
-
-#include <benchmark/benchmark.h>
 
 #include "core/runner.hh"
 
@@ -43,17 +41,6 @@ RunResult runPoint(const std::string &workload, OrderingMode mode,
 
 /** Geometric mean helper for speedup summaries. */
 double geomean(const std::vector<double> &values);
-
-/** Register a google-benchmark entry that simulates one point and
- *  reports simulated milliseconds as a counter. */
-void registerSimBenchmark(const std::string &name,
-                          const std::string &workload,
-                          OrderingMode mode, std::uint32_t tsBytes,
-                          std::uint32_t bmf,
-                          std::uint64_t elements);
-
-/** Run registered google-benchmarks (call after printing tables). */
-int runBenchmarkMain(int argc, char **argv);
 
 } // namespace olight::bench
 

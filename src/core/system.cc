@@ -140,26 +140,8 @@ System::System(const SystemConfig &cfg, ExecPolicy policy)
             &creditCtxs_.back());
     }
 
-    if (cfg_.verifyOracle) {
+    if (cfg_.verifyOracle)
         oracle_ = std::make_unique<OrderingOracle>(cfg_);
-        for (std::uint16_t ch = 0; ch < cfg_.numChannels; ++ch) {
-            PipeObserver *chObs = oracle_.get();
-            if (partitioned_) {
-                // The oracle is host-owned; channel-side hooks are
-                // recorded in the mailbox and replayed by the host.
-                relays_.push_back(std::make_unique<ObserverRelay>(
-                    *mailboxes_[ch], *chEqs_[ch],
-                    std::uint16_t(ch)));
-                chObs = relays_.back().get();
-            }
-            mcs_[ch]->setObserver(chObs);
-            slices_[ch]->setObserver(chObs);
-        }
-        icnt_->setObserver(oracle_.get());
-        for (auto &sm : sms_)
-            sm->setObserver(oracle_.get());
-        hostObs_ = oracle_.get();
-    }
 }
 
 void
@@ -170,22 +152,46 @@ System::enableRecording(CommitLogWriter &writer)
                      "(SystemConfig::verifyOracle)");
     if (ran_)
         olight_fatal("enableRecording must be called before run()");
-    recorder_ =
-        std::make_unique<RecordingObserver>(writer, oracle_.get());
-    hostObs_ = recorder_.get();
-    // Re-point every hook source that feeds the oracle directly. In
-    // partitioned mode the channel-side sources (MCs, slices) keep
-    // their mailbox relays — applyCrossMsg routes through hostObs_,
-    // so their records are appended on the host thread only.
-    if (!partitioned_) {
-        for (std::uint16_t ch = 0; ch < cfg_.numChannels; ++ch) {
-            mcs_[ch]->setObserver(recorder_.get());
-            slices_[ch]->setObserver(recorder_.get());
-        }
+    recorder_ = std::make_unique<RecordingObserver>(writer);
+}
+
+void
+System::enableTrace(std::ostream &os)
+{
+    if (ran_)
+        olight_fatal("enableTrace must be called before run()");
+    trace_ = std::make_unique<TraceWriter>(os, eq_);
+}
+
+void
+System::attachObservers()
+{
+    // Link the chain back to front: trace -> recorder -> oracle.
+    PipeObserver *links[] = {oracle_.get(), recorder_.get(),
+                             trace_.get()};
+    for (PipeObserver *obs : links) {
+        if (!obs)
+            continue;
+        obs->next = hostObs_;
+        hostObs_ = obs;
     }
-    icnt_->setObserver(recorder_.get());
+    if (!hostObs_)
+        return;
+    icnt_->setObserver(hostObs_);
     for (auto &sm : sms_)
-        sm->setObserver(recorder_.get());
+        sm->setObserver(hostObs_);
+    for (std::uint16_t ch = 0; ch < cfg_.numChannels; ++ch) {
+        PipeObserver *chObs = hostObs_;
+        if (partitioned_) {
+            // The chain is host-owned; channel-side hooks are
+            // recorded in the mailbox and replayed by the host.
+            relays_.push_back(std::make_unique<ObserverRelay>(
+                *mailboxes_[ch], *chEqs_[ch], ch));
+            chObs = relays_.back().get();
+        }
+        mcs_[ch]->setObserver(chObs);
+        slices_[ch]->setObserver(chObs);
+    }
 }
 
 void
@@ -222,22 +228,6 @@ System::setCoherenceFlush(std::vector<HostArraySpec> arrays)
         spec.write = true; // write-backs of dirty lines
     host_->setTraffic(std::move(arrays));
     hasFlush_ = true;
-}
-
-void
-System::enableTrace(std::ostream &os, TraceFormat format)
-{
-    if (partitioned_)
-        olight_fatal("packet tracing serializes the pipe; run with "
-                     "simJobs=1");
-    trace_ = std::make_unique<TraceWriter>(os, format);
-    for (auto &mc : mcs_)
-        mc->setTrace(trace_.get());
-    for (auto &slice : slices_)
-        slice->setTrace(trace_.get());
-    icnt_->setTrace(trace_.get());
-    for (auto &sm : sms_)
-        sm->setTrace(trace_.get());
 }
 
 void
@@ -350,6 +340,7 @@ System::run()
     if (ran_)
         olight_fatal("System::run() may only be called once");
     ran_ = true;
+    attachObservers();
     return partitioned_ ? runPartitioned() : runSequential();
 }
 
@@ -452,8 +443,6 @@ System::runSequential()
 RunMetrics
 System::runPartitioned()
 {
-    if (trace_ || sampler_)
-        olight_fatal("trace/sampling require simJobs=1");
     if (hasFlush_)
         olight_fatal("the coherence-flush prologue polls the host "
                      "stream per event; run with simJobs=1");

@@ -82,14 +82,13 @@ class System
     void setHostTraffic(std::vector<HostArraySpec> arrays);
 
     /**
-     * Stream a packet trace. Csv keeps the original MC-level rows
-     * (plus per-stage span rows); ChromeJson emits a trace_event
-     * file with a span per pipeline stage of every packet's life
-     * (SM collect -> interconnect -> L2 -> MC queue -> scheduled),
-     * ready for Perfetto / chrome://tracing.
+     * Stream a Chrome trace_event file into @p os with a span per
+     * pipeline stage of every packet's life (SM collect ->
+     * interconnect -> L2 -> MC queue -> scheduled), ready for
+     * Perfetto / chrome://tracing. The tracer heads the observer
+     * chain, so it works under every driver. Call before run().
      */
-    void enableTrace(std::ostream &os,
-                     TraceFormat format = TraceFormat::Csv);
+    void enableTrace(std::ostream &os);
 
     /**
      * Sample per-channel observability probes (read/write queue
@@ -112,7 +111,9 @@ class System
      * set). Call before run(). The recorder always runs on the host
      * thread: under the partitioned driver, channel-side hooks reach
      * it through the mailbox relays, so a multi-worker recording is
-     * race-free and byte-identical to a simJobs=1 one.
+     * race-free and byte-identical for every worker count > 1. Its
+     * verdict matches a simJobs=1 recording; the record order may
+     * not (docs/INTERNALS.md section 13).
      */
     void enableRecording(CommitLogWriter &writer);
 
@@ -173,6 +174,7 @@ class System
         std::uint16_t channel = 0;
     };
 
+    void attachObservers();
     bool smsDone() const;
     bool pimDrained() const;
     bool stepSim(bool burst = true);
@@ -239,8 +241,8 @@ class System
     std::unique_ptr<Sampler> sampler_;
     std::unique_ptr<OrderingOracle> oracle_;
     std::unique_ptr<RecordingObserver> recorder_;
-    /** Host-thread hook sink: the recorder when recording, else the
-     *  oracle. Mailbox-relayed hooks land here. */
+    /** Head of the observer chain (trace -> recorder -> oracle);
+     *  mailbox-relayed hooks land here, on the host thread. */
     PipeObserver *hostObs_ = nullptr;
     std::vector<std::vector<PimInstr>> streams_;
     bool hasKernel_ = false;

@@ -47,10 +47,6 @@ Sm::Sm(const SystemConfig &cfg, std::uint32_t id, EventQueue &eq,
             olight_panic("sm", id_, ": collector count underflow");
         --warp.inCollector;
         ++warp.outstandingAcks;
-        if (trace_)
-            trace_->span(pkt.createdAt, eq_.now(),
-                         "sm" + std::to_string(id_) + ".collect",
-                         pkt.id, pkt.describe());
         if (observer_)
             observer_->onCollectorInject(pkt, pkt.createdAt,
                                          eq_.now());

@@ -31,7 +31,6 @@
 #include "noc/port.hh"
 #include "sim/event_queue.hh"
 #include "sim/stats.hh"
-#include "sim/trace.hh"
 
 namespace olight
 {
@@ -54,10 +53,6 @@ class Sm
 
     /** MC acknowledgement for a request of one of our warps. */
     void onAck(const Packet &pkt);
-
-    /** Attach a packet tracer: each request emits a collect span
-     *  from issue to interconnect injection (nullptr disables). */
-    void setTrace(TraceWriter *trace) { trace_ = trace; }
 
     /** Attach a pipe observer: issue, order-point, collector-inject
      *  and ack hooks fire on this SM (nullptr disables). */
@@ -83,7 +78,6 @@ class Sm
     AcceptPort &injectPort_;
     Forwarder<> injectFwd_; ///< OrderLight marker injection
     StatSet &stats_;
-    TraceWriter *trace_ = nullptr;
     PipeObserver *observer_ = nullptr;
 
     std::vector<std::unique_ptr<Warp>> warps_;

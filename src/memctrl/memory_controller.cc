@@ -88,8 +88,6 @@ MemoryController::setHostBlocked(bool blocked)
 void
 MemoryController::arrive(Packet pkt)
 {
-    if (trace_)
-        trace_->record(eq_.now(), name_, "arrive", pkt.describe());
     if (pkt.isOrderLight()) {
         ++statOlPackets_;
         if (observer_)
@@ -240,12 +238,6 @@ void
 MemoryController::issue(Transaction txn)
 {
     const Packet &pkt = txn.pkt;
-    if (trace_) {
-        trace_->record(eq_.now(), name_, "schedule",
-                       pkt.describe());
-        trace_->span(txn.arrival, eq_.now(), name_ + ".queue",
-                     pkt.id, pkt.describe());
-    }
     std::uint32_t group = pkt.instr.memGroup;
     if (cfg_.orderingMode == OrderingMode::Louvre) {
         // Host requests are outside the louvre window discipline:
@@ -270,9 +262,6 @@ MemoryController::issue(Transaction txn)
             timing_.reserve(kind, txn.bank, txn.row, eq_.now());
         col_tick = res.colTick;
     }
-    if (trace_)
-        trace_->span(eq_.now(), col_tick, name_ + ".sched", pkt.id,
-                     pkt.describe());
     if (observer_)
         observer_->onMcCommit(channel_, pkt, col_tick);
 

@@ -39,7 +39,6 @@
 #include "pim/pim_unit.hh"
 #include "sim/event_queue.hh"
 #include "sim/stats.hh"
-#include "sim/trace.hh"
 
 namespace olight
 {
@@ -63,9 +62,6 @@ class MemoryController final : public AcceptPort
 
     void setAckFn(AckFn fn) { ackFn_ = std::move(fn); }
     void setHostDoneFn(HostDoneFn fn) { hostDoneFn_ = std::move(fn); }
-
-    /** Attach a packet tracer (nullptr disables tracing). */
-    void setTrace(TraceWriter *trace) { trace_ = trace; }
 
     /** Attach a pipe observer: admit, OrderLight-arrive and commit
      *  hooks fire on this channel (nullptr disables). */
@@ -123,7 +119,6 @@ class MemoryController final : public AcceptPort
 
     AckFn ackFn_;
     HostDoneFn hostDoneFn_;
-    TraceWriter *trace_ = nullptr;
     PipeObserver *observer_ = nullptr;
 
     bool wakeScheduled_ = false;

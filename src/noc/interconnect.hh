@@ -76,14 +76,6 @@ class Interconnect
     /** Injection port of SM @p sm (the SM's LDST queue). */
     AcceptPort &smPort(std::uint32_t sm) { return *smQueues_.at(sm); }
 
-    /** Attach a packet tracer to every SM injection queue. */
-    void
-    setTrace(TraceWriter *trace)
-    {
-        for (auto &q : smQueues_)
-            q->setTrace(trace);
-    }
-
     /** Attach a pipe observer to every SM injection queue. */
     void
     setObserver(PipeObserver *obs)

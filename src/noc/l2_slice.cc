@@ -62,15 +62,6 @@ L2Slice::setDownstream(AcceptPort *mc)
 }
 
 void
-L2Slice::setTrace(TraceWriter *trace)
-{
-    input_->setTrace(trace);
-    for (auto &sp : subParts_)
-        sp->setTrace(trace);
-    toDram_->setTrace(trace);
-}
-
-void
 L2Slice::setObserver(PipeObserver *obs)
 {
     input_->setObserver(obs);

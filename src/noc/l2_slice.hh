@@ -54,9 +54,6 @@ class L2Slice
     /** Connect the L2-to-DRAM queue to the memory controller. */
     void setDownstream(AcceptPort *mc);
 
-    /** Attach a packet tracer to every stage of the slice. */
-    void setTrace(TraceWriter *trace);
-
     /** Attach a pipe observer to every stage and both FSMs. */
     void setObserver(PipeObserver *obs);
 

@@ -36,7 +36,6 @@
 #include "sim/logging.hh"
 #include "sim/random.hh"
 #include "sim/stats.hh"
-#include "sim/trace.hh"
 #include "verify/observer.hh"
 
 namespace olight
@@ -86,10 +85,6 @@ class PipeStage final : public AcceptPort
             },
             this);
     }
-
-    /** Attach a packet tracer: each serviced packet emits one span
-     *  covering its time in this stage (nullptr disables). */
-    void setTrace(TraceWriter *trace) { trace_ = trace; }
 
     /** Attach a pipe observer: onStageEgress fires per serviced
      *  packet (nullptr disables). */
@@ -176,7 +171,7 @@ class PipeStage final : public AcceptPort
     {
         Packet pkt;
         Tick readyAt = 0;   ///< arrival + jitter; earliest service
-        Tick arrivedAt = 0; ///< arrival tick (trace span begin)
+        Tick arrivedAt = 0; ///< arrival tick (egress hook begin)
     };
 
     Entry &front() { return ring_[head_]; }
@@ -229,9 +224,6 @@ class PipeStage final : public AcceptPort
         if (!fwd_.tryReserve(head.pkt))
             return;
 
-        if (trace_)
-            trace_->span(head.arrivedAt, eq_.now(), name_,
-                         head.pkt.id, head.pkt.describe());
         if (observer_)
             observer_->onStageEgress(name_, head.pkt, head.arrivedAt,
                                      eq_.now());
@@ -258,7 +250,6 @@ class PipeStage final : public AcceptPort
     std::string name_;
     Params params_;
     Forwarder<Downstream> fwd_;
-    TraceWriter *trace_ = nullptr;
     PipeObserver *observer_ = nullptr;
     void (*creditHook_)(void *) = nullptr;
     void *creditCtx_ = nullptr;

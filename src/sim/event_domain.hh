@@ -112,13 +112,13 @@ struct CrossMsg
         Ack,          ///< MC fence ack -> Sm::onAck
         HostDone,     ///< host request completion -> HostStream
         CreditWake,   ///< L2 input credit release (deferred slot free)
-        StageEgress,  ///< oracle relay: PipeStage onStageEgress
-        OlReplicate,  ///< oracle relay: divergence FSM
-        OlMergeIn,    ///< oracle relay: convergence FSM input
-        OlMergeOut,   ///< oracle relay: convergence FSM output
-        McAdmit,      ///< oracle relay: MC queue admit
-        McOrderLight, ///< oracle relay: OL marker at the MC
-        McCommit,     ///< oracle relay: command-bus commit
+        StageEgress,  ///< observer relay: PipeStage onStageEgress
+        OlReplicate,  ///< observer relay: divergence FSM
+        OlMergeIn,    ///< observer relay: convergence FSM input
+        OlMergeOut,   ///< observer relay: convergence FSM output
+        McAdmit,      ///< observer relay: MC queue admit
+        McOrderLight, ///< observer relay: OL marker at the MC
+        McCommit,     ///< observer relay: command-bus commit
     };
 
     Kind kind;
@@ -169,11 +169,11 @@ class DomainMailbox
 
 /**
  * Pipe observer that forwards channel-side hooks into the channel's
- * mailbox instead of touching the (host-owned, unordered_map-heavy)
- * OrderingOracle from a worker thread. The host replays the hooks
- * in deterministic order when it drains the mailbox. Stage and point
- * names are passed by pointer: they are stable members of the
- * observed components.
+ * mailbox instead of touching the host-owned observer chain (packet
+ * tracer, commit-log recorder, OrderingOracle) from a worker thread.
+ * The host replays the hooks into the chain's head in deterministic
+ * order when it drains the mailbox. Stage and point names are passed
+ * by pointer: they are stable members of the observed components.
  */
 class ObserverRelay final : public PipeObserver
 {

@@ -81,8 +81,7 @@ void
 RecordingObserver::onWarpIssue(const Packet &pkt)
 {
     writer_.append(baseRecord(LogRecordKind::WarpIssue, pkt));
-    if (next_)
-        next_->onWarpIssue(pkt);
+    PipeObserver::onWarpIssue(pkt);
 }
 
 void
@@ -95,16 +94,14 @@ RecordingObserver::onOrderPoint(std::uint16_t channel,
     rec.group = group;
     rec.group2 = std::int8_t(group2);
     writer_.append(rec);
-    if (next_)
-        next_->onOrderPoint(channel, group, group2);
+    PipeObserver::onOrderPoint(channel, group, group2);
 }
 
 void
 RecordingObserver::onOlInject(const Packet &pkt)
 {
     writer_.append(baseRecord(LogRecordKind::OlInject, pkt));
-    if (next_)
-        next_->onOlInject(pkt);
+    PipeObserver::onOlInject(pkt);
 }
 
 void
@@ -115,8 +112,7 @@ RecordingObserver::onCollectorInject(const Packet &pkt, Tick begin,
     rec.tickA = begin;
     rec.tickB = end;
     writer_.append(rec);
-    if (next_)
-        next_->onCollectorInject(pkt, begin, end);
+    PipeObserver::onCollectorInject(pkt, begin, end);
 }
 
 void
@@ -129,8 +125,7 @@ RecordingObserver::onStageEgress(const std::string &stage,
     rec.tickA = begin;
     rec.tickB = end;
     writer_.append(rec);
-    if (next_)
-        next_->onStageEgress(stage, pkt, begin, end);
+    PipeObserver::onStageEgress(stage, pkt, begin, end);
 }
 
 void
@@ -142,8 +137,7 @@ RecordingObserver::onOlReplicate(const std::string &point,
     rec.name = writer_.intern(point);
     rec.extra = copies;
     writer_.append(rec);
-    if (next_)
-        next_->onOlReplicate(point, pkt, copies);
+    PipeObserver::onOlReplicate(point, pkt, copies);
 }
 
 void
@@ -154,8 +148,7 @@ RecordingObserver::onOlMergeIn(const std::string &point,
     rec.name = writer_.intern(point);
     rec.extra = path;
     writer_.append(rec);
-    if (next_)
-        next_->onOlMergeIn(point, path, pkt);
+    PipeObserver::onOlMergeIn(point, path, pkt);
 }
 
 void
@@ -167,8 +160,7 @@ RecordingObserver::onOlMergeOut(const std::string &point,
     rec.name = writer_.intern(point);
     rec.extra = copies;
     writer_.append(rec);
-    if (next_)
-        next_->onOlMergeOut(point, pkt, copies);
+    PipeObserver::onOlMergeOut(point, pkt, copies);
 }
 
 void
@@ -179,8 +171,7 @@ RecordingObserver::onMcAdmit(std::uint16_t channel, const Packet &pkt)
     LogRecord rec = baseRecord(LogRecordKind::McAdmit, pkt);
     rec.extra = channel;
     writer_.append(rec);
-    if (next_)
-        next_->onMcAdmit(channel, pkt);
+    PipeObserver::onMcAdmit(channel, pkt);
 }
 
 void
@@ -190,8 +181,7 @@ RecordingObserver::onMcOrderLight(std::uint16_t channel,
     LogRecord rec = baseRecord(LogRecordKind::McOrderLight, pkt);
     rec.extra = channel;
     writer_.append(rec);
-    if (next_)
-        next_->onMcOrderLight(channel, pkt);
+    PipeObserver::onMcOrderLight(channel, pkt);
 }
 
 void
@@ -202,16 +192,14 @@ RecordingObserver::onMcCommit(std::uint16_t channel, const Packet &pkt,
     rec.extra = channel;
     rec.tickA = colTick;
     writer_.append(rec);
-    if (next_)
-        next_->onMcCommit(channel, pkt, colTick);
+    PipeObserver::onMcCommit(channel, pkt, colTick);
 }
 
 void
 RecordingObserver::onAck(const Packet &pkt)
 {
     writer_.append(baseRecord(LogRecordKind::Ack, pkt));
-    if (next_)
-        next_->onAck(pkt);
+    PipeObserver::onAck(pkt);
 }
 
 void

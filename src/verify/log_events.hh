@@ -3,7 +3,7 @@
  * Bridge between the PipeObserver hook stream and the commit log.
  *
  * RecordingObserver tees every hook into a CommitLogWriter record and
- * forwards it to a downstream observer (the OrderingOracle) — a
+ * passes it down the observer chain to the OrderingOracle — a
  * recorded run keeps its live verdict. replayRecord() is the inverse:
  * it rebuilds the hook call from a LogRecord and drives any
  * PipeObserver with it, so `olight_replay` re-runs the oracle from a
@@ -31,13 +31,12 @@ namespace olight
 
 class OrderingOracle;
 
-/** Records every hook, then forwards it downstream. */
+/** Records every hook, then forwards it to the next link. */
 class RecordingObserver : public PipeObserver
 {
   public:
-    /** @param next downstream observer (may be nullptr). */
-    RecordingObserver(CommitLogWriter &writer, PipeObserver *next)
-        : writer_(writer), next_(next)
+    explicit RecordingObserver(CommitLogWriter &writer)
+        : writer_(writer)
     {
     }
 
@@ -64,7 +63,6 @@ class RecordingObserver : public PipeObserver
 
   private:
     CommitLogWriter &writer_;
-    PipeObserver *next_;
 };
 
 /** Serialize a Packet into the payload fields of @p rec. */

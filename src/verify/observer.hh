@@ -9,10 +9,15 @@
  * schedule/commit events. A component holds a nullable
  * `PipeObserver *`; when none is attached the hooks cost one
  * pointer test, so the timing model is unaffected unless a run
- * explicitly enables verification.
+ * explicitly enables an observer.
  *
- * The OrderingOracle (verify/oracle.hh) is the production observer;
- * tests may install their own to probe a single stage.
+ * Observers form a chain: every hook an observer does not override
+ * forwards to `next`, and an override passes the hook on by calling
+ * the base. System builds one chain per run — packet tracer
+ * (sim/trace.hh), then commit-log recorder (verify/log_events.hh),
+ * then the OrderingOracle (verify/oracle.hh), which stays last and
+ * forwards nothing. Tests may install their own observer to probe a
+ * single stage.
  */
 
 #ifndef OLIGHT_VERIFY_OBSERVER_HH
@@ -27,16 +32,25 @@
 namespace olight
 {
 
-/** Observation points along the memory pipe (all no-ops here). */
+/** Observation points along the memory pipe; each default hook
+ *  forwards to the next link of the chain. */
 class PipeObserver
 {
   public:
     virtual ~PipeObserver() = default;
 
+    /** The next link of the chain (nullptr ends it). */
+    PipeObserver *next = nullptr;
+
     // --- SM-side program order ------------------------------------
     /** A warp issued @p pkt; calls arrive in per-channel program
      *  order (each channel is bound to exactly one warp). */
-    virtual void onWarpIssue(const Packet &pkt) { (void)pkt; }
+    virtual void
+    onWarpIssue(const Packet &pkt)
+    {
+        if (next)
+            next->onWarpIssue(pkt);
+    }
 
     /** A warp retired an OrderPoint marker for (@p channel,
      *  @p group); @p group2 is the second group of a dual marker or
@@ -46,22 +60,25 @@ class PipeObserver
     virtual void
     onOrderPoint(std::uint16_t channel, std::uint8_t group, int group2)
     {
-        (void)channel;
-        (void)group;
-        (void)group2;
+        if (next)
+            next->onOrderPoint(channel, group, group2);
     }
 
     /** An OrderLight packet entered the pipe (OrderLight mode). */
-    virtual void onOlInject(const Packet &pkt) { (void)pkt; }
+    virtual void
+    onOlInject(const Packet &pkt)
+    {
+        if (next)
+            next->onOlInject(pkt);
+    }
 
     /** A request left the operand collector into the LDST queue;
      *  [begin, end] is its collector residency. */
     virtual void
     onCollectorInject(const Packet &pkt, Tick begin, Tick end)
     {
-        (void)pkt;
-        (void)begin;
-        (void)end;
+        if (next)
+            next->onCollectorInject(pkt, begin, end);
     }
 
     // --- Generic queue stages -------------------------------------
@@ -72,10 +89,8 @@ class PipeObserver
     onStageEgress(const std::string &stage, const Packet &pkt,
                   Tick begin, Tick end)
     {
-        (void)stage;
-        (void)pkt;
-        (void)begin;
-        (void)end;
+        if (next)
+            next->onStageEgress(stage, pkt, begin, end);
     }
 
     // --- Copy-and-merge FSMs --------------------------------------
@@ -85,9 +100,8 @@ class PipeObserver
     onOlReplicate(const std::string &point, const Packet &pkt,
                   std::uint32_t copies)
     {
-        (void)point;
-        (void)pkt;
-        (void)copies;
+        if (next)
+            next->onOlReplicate(point, pkt, copies);
     }
 
     /** One OrderLight copy reached sub-path @p path of the
@@ -96,9 +110,8 @@ class PipeObserver
     onOlMergeIn(const std::string &point, std::uint32_t path,
                 const Packet &pkt)
     {
-        (void)point;
-        (void)path;
-        (void)pkt;
+        if (next)
+            next->onOlMergeIn(point, path, pkt);
     }
 
     /** The convergence FSM @p point emitted the merged packet after
@@ -107,9 +120,8 @@ class PipeObserver
     onOlMergeOut(const std::string &point, const Packet &pkt,
                  std::uint32_t copies)
     {
-        (void)point;
-        (void)pkt;
-        (void)copies;
+        if (next)
+            next->onOlMergeOut(point, pkt, copies);
     }
 
     // --- Memory controller ----------------------------------------
@@ -117,16 +129,16 @@ class PipeObserver
     virtual void
     onMcAdmit(std::uint16_t channel, const Packet &pkt)
     {
-        (void)channel;
-        (void)pkt;
+        if (next)
+            next->onMcAdmit(channel, pkt);
     }
 
     /** An OrderLight packet reached the MC scheduler. */
     virtual void
     onMcOrderLight(std::uint16_t channel, const Packet &pkt)
     {
-        (void)channel;
-        (void)pkt;
+        if (next)
+            next->onMcOrderLight(channel, pkt);
     }
 
     /** The scheduler committed @p pkt to the command bus; its DRAM
@@ -135,14 +147,18 @@ class PipeObserver
     virtual void
     onMcCommit(std::uint16_t channel, const Packet &pkt, Tick colTick)
     {
-        (void)channel;
-        (void)pkt;
-        (void)colTick;
+        if (next)
+            next->onMcCommit(channel, pkt, colTick);
     }
 
     // --- Response path --------------------------------------------
     /** The SM received the MC acknowledgement for @p pkt. */
-    virtual void onAck(const Packet &pkt) { (void)pkt; }
+    virtual void
+    onAck(const Packet &pkt)
+    {
+        if (next)
+            next->onAck(pkt);
+    }
 };
 
 } // namespace olight

@@ -1,4 +1,4 @@
-/** @file Tests for the energy model and the CSV packet tracer. */
+/** @file Tests for the energy model and the packet tracer. */
 
 #include <gtest/gtest.h>
 
@@ -92,10 +92,11 @@ TEST(Trace, RecordsArrivalsAndSchedules)
     std::ostringstream trace;
     runAndMeasure(OrderingMode::OrderLight, &trace);
     std::string text = trace.str();
-    EXPECT_NE(text.find("tick,component,event,detail"),
+    EXPECT_EQ(text.rfind("{\"displayTimeUnit\":", 0), 0u);
+    EXPECT_NE(text.find("{\"name\":\"mc0.arrive\",\"ph\":\"i\""),
               std::string::npos);
-    EXPECT_NE(text.find(",arrive,"), std::string::npos);
-    EXPECT_NE(text.find(",schedule,"), std::string::npos);
+    EXPECT_NE(text.find("{\"name\":\"mc0.schedule\",\"ph\":\"i\""),
+              std::string::npos);
     EXPECT_NE(text.find("OL[ch="), std::string::npos)
         << "OrderLight packets must appear in the trace";
     EXPECT_NE(text.find("PimLoad["), std::string::npos);
@@ -107,15 +108,20 @@ TEST(Trace, ScheduleNeverPrecedesArrivalPerPacket)
     runAndMeasure(OrderingMode::OrderLight, &trace);
     std::istringstream in(trace.str());
     std::string line;
-    std::getline(in, line); // header
-    std::map<std::string, int> state; // detail -> 1 arrived
+    std::map<std::string, int> state; // mcN + detail -> 1 arrived
     std::uint64_t checked = 0;
     while (std::getline(in, line) && checked < 5000) {
-        auto c1 = line.find(',');
-        auto c2 = line.find(',', c1 + 1);
-        auto c3 = line.find(',', c2 + 1);
-        std::string event = line.substr(c2 + 1, c3 - c2 - 1);
-        std::string detail = line.substr(c3 + 1);
+        // Point events: {"name":"mcN.EVENT","ph":"i",...,
+        // "args":{"detail":"DETAIL"}}
+        if (line.find("\"ph\":\"i\"") == std::string::npos)
+            continue;
+        auto dot = line.find('.');
+        auto quote = line.find('"', dot);
+        std::string mc = line.substr(9, dot - 9);
+        std::string event = line.substr(dot + 1, quote - dot - 1);
+        auto at = line.find("\"detail\":") + 9;
+        std::string detail =
+            mc + " " + line.substr(at, line.find("}}", at) - at);
         if (event == "arrive") {
             state[detail] = 1;
         } else if (event == "schedule") {

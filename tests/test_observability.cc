@@ -4,22 +4,31 @@
  * against the human dump), bucketed histograms, the O(1) StatSet
  * index, interval sampling (determinism across host worker counts,
  * no effect on simulated time), the Chrome trace_event backend
- * (balanced spans), and sweep JSON rows.
+ * (balanced spans, the same per-packet and per-MC sequences under
+ * every driver, a chain link that leaves the others unchanged), and
+ * sweep JSON rows.
  */
 
 #include <gtest/gtest.h>
 
+#include <cstdio>
+#include <fstream>
+#include <iterator>
+#include <map>
+#include <memory>
 #include <sstream>
 #include <string>
 #include <vector>
 
 #include "core/sweep.hh"
 #include "core/system.hh"
+#include "sim/commit_log.hh"
 #include "sim/json.hh"
 #include "sim/sampler.hh"
 #include "sim/stats.hh"
 #include "sim/thread_pool.hh"
 #include "sim/trace.hh"
+#include "verify/log_events.hh"
 #include "workloads/registry.hh"
 
 namespace olight
@@ -212,22 +221,88 @@ countOf(const std::string &text, const std::string &needle)
     return n;
 }
 
-TEST(ChromeTrace, EmitsBalancedSpansAndValidFrame)
+/** One traced Copy run; with @p logPath set, the oracle and a
+ *  commit-log recorder join the chain (trace -> recorder -> oracle)
+ *  and the log bytes and live verdict come back too. */
+struct TracedRun
 {
+    std::string trace; ///< empty when the run was not traced
+    std::string log;
+    ReplayVerdict verdict;
+};
+
+TracedRun
+tracedCopyRun(unsigned simJobs, bool trace,
+              const std::string &logPath = "")
+{
+    SystemConfig cfg = configFor(OrderingMode::OrderLight, 256, 16);
+    cfg.verifyOracle = !logPath.empty();
+    auto w = makeWorkload("Copy");
+    w->build(cfg, 1ull << 12);
+    ExecPolicy policy;
+    policy.simJobs = simJobs;
+
+    TracedRun out;
     std::ostringstream json;
     {
-        SystemConfig cfg =
-            configFor(OrderingMode::OrderLight, 256, 16);
-        auto w = makeWorkload("Copy");
-        w->build(cfg, 1ull << 12);
-        System sys(cfg);
+        std::unique_ptr<CommitLogWriter> writer;
+        System sys(cfg, policy);
+        if (!logPath.empty()) {
+            writer = std::make_unique<CommitLogWriter>(logPath, cfg, 0);
+            sys.enableRecording(*writer);
+        }
+        if (trace)
+            sys.enableTrace(json);
         w->initMemory(sys.mem());
         sys.loadPimKernel(w->streams());
-        sys.enableTrace(json, TraceFormat::ChromeJson);
         sys.run();
+        if (writer) {
+            out.verdict = harvestVerdict(*sys.oracle());
+            EXPECT_TRUE(writer->finish(out.verdict.violations,
+                                       out.verdict.checks,
+                                       out.verdict.reportHash,
+                                       out.verdict.clean));
+        }
     } // System destruction closes the TraceWriter (JSON footer).
+    out.trace = json.str();
+    if (!logPath.empty()) {
+        std::ifstream in(logPath, std::ios::binary);
+        out.log.assign(std::istreambuf_iterator<char>(in), {});
+        std::remove(logPath.c_str());
+    }
+    return out;
+}
 
-    const std::string text = json.str();
+/** Trace events per track, in file order: each packet's spans keyed
+ *  by its tid, each MC's point events keyed by the MC's name. */
+std::map<std::string, std::vector<std::string>>
+eventsPerTrack(const std::string &trace)
+{
+    std::map<std::string, std::vector<std::string>> tracks;
+    std::istringstream in(trace);
+    std::string line;
+    while (std::getline(in, line)) {
+        if (line.rfind("{\"name\":\"", 0) != 0)
+            continue;
+        if (line.back() == ',')
+            line.pop_back();
+        std::string key;
+        if (line.find("\"ph\":\"i\"") != std::string::npos) {
+            key = line.substr(9, line.find('.') - 9);
+        } else {
+            auto tid = line.find("\"tid\":");
+            key = "pkt" + line.substr(tid + 6,
+                                      line.find_first_of(",}", tid) -
+                                          tid - 6);
+        }
+        tracks[key].push_back(line);
+    }
+    return tracks;
+}
+
+TEST(ChromeTrace, EmitsBalancedSpansAndValidFrame)
+{
+    const std::string text = tracedCopyRun(1, true).trace;
     EXPECT_EQ(text.rfind("{\"displayTimeUnit\":", 0), 0u);
     EXPECT_NE(text.find("\"traceEvents\":["), std::string::npos);
     EXPECT_EQ(text.substr(text.size() - 4), "\n]}\n");
@@ -241,13 +316,45 @@ TEST(ChromeTrace, EmitsBalancedSpansAndValidFrame)
     for (const char *stage :
          {"sm0.collect", "icnt.sm", "l2s0", "mc0.queue", "mc0.sched"})
         EXPECT_NE(text.find(stage), std::string::npos) << stage;
+
+    // The windowed driver traces through the mailbox relays: its
+    // bytes do not depend on the worker count, and every packet's
+    // span sequence and every MC's point-event sequence match the
+    // sequential trace (only the interleaving of different tracks
+    // may differ).
+    const auto serial = eventsPerTrack(text);
+    const std::string j2 = tracedCopyRun(2, true).trace;
+    const std::string j4 = tracedCopyRun(4, true).trace;
+    EXPECT_TRUE(j2 == j4) << "sim-jobs 2 and 4 traces differ";
+    EXPECT_TRUE(eventsPerTrack(j2) == serial)
+        << "a packet's spans or an MC's events differ from sim-jobs 1";
+
+    // A three-link chain (trace -> recorder -> oracle) leaves the
+    // trace, the commit log and the verdict as each link alone.
+    const std::string path =
+        ::testing::TempDir() + "olight_chrome_trace_chain.olog";
+    for (unsigned simJobs : {1u, 4u}) {
+        const TracedRun plain = tracedCopyRun(simJobs, false, path);
+        const TracedRun chained = tracedCopyRun(simJobs, true, path);
+        EXPECT_GT(plain.verdict.checks, 0u);
+        EXPECT_TRUE(chained.log == plain.log)
+            << "commit log changed by the trace, sim-jobs " << simJobs;
+        EXPECT_EQ(chained.verdict.checks, plain.verdict.checks);
+        EXPECT_EQ(chained.verdict.violations, plain.verdict.violations);
+        EXPECT_EQ(chained.verdict.reportHash, plain.verdict.reportHash);
+        EXPECT_EQ(chained.verdict.clean, plain.verdict.clean);
+        EXPECT_TRUE(chained.trace == (simJobs == 1 ? text : j4))
+            << "trace changed by the recorder and oracle, sim-jobs "
+            << simJobs;
+    }
 }
 
 TEST(ChromeTrace, SpanWritesMatchedPairInOneCall)
 {
     std::ostringstream os;
     {
-        TraceWriter tw(os, TraceFormat::ChromeJson);
+        EventQueue clock;
+        TraceWriter tw(os, clock);
         tw.span(100, 300, "stage", 42, "detail");
         tw.record(400, "mc0", "arrive", "x");
         tw.close();

@@ -4,7 +4,7 @@
  *
  * Runs any registered workload at any experiment point and reports
  * metrics, optionally with full statistics, energy breakdown,
- * verification, the GPU host baseline, and a CSV packet trace.
+ * verification, the GPU host baseline, and a Chrome packet trace.
  *
  *   olight_cli --workload Add --mode orderlight --ts 256 --bmf 16
  *   olight_cli --workload Gen_Fil --mode fence --verify --energy
@@ -60,9 +60,9 @@ usage()
         "  --record FILE     record the observer hook stream into a\n"
         "                    binary commit log (forces the ordering\n"
         "                    oracle on; replay with olight_replay)\n"
-        "  --trace FILE      write a CSV packet trace\n"
         "  --trace-json FILE write a Chrome trace_event JSON trace\n"
-        "                    (open in Perfetto / chrome://tracing)\n"
+        "                    (open in Perfetto / chrome://tracing;\n"
+        "                    works at every --sim-jobs)\n"
         "  --stats-json FILE write metrics + all statistics as JSON\n"
         "  --sample FILE     write an interval time-series CSV\n"
         "  --sample-interval N  sampling period in core cycles\n"
@@ -93,7 +93,7 @@ main(int argc, char **argv)
     bool dump_stats = false, energy = false, flush = false;
     std::size_t dump_kernel = 0;
     unsigned jobs = 1, sim_jobs = 1;
-    std::string trace_path, trace_json_path, stats_json_path;
+    std::string trace_json_path, stats_json_path;
     std::string sample_path, profile_path, record_path;
     std::uint64_t sample_interval_cycles = 1000;
 
@@ -136,8 +136,6 @@ main(int argc, char **argv)
             record_path = next();
         else if (arg == "--profile-domains")
             profile_path = next();
-        else if (arg == "--trace")
-            trace_path = next();
         else if (arg == "--trace-json")
             trace_json_path = next();
         else if (arg == "--stats-json")
@@ -176,13 +174,11 @@ main(int argc, char **argv)
     cli::enforceLimits("olight_cli", elements,
                        std::max<std::uint64_t>(jobs, sim_jobs), 1);
 
-    if (sim_jobs > 1 &&
-        (!trace_path.empty() || !trace_json_path.empty() ||
-         !sample_path.empty() || flush)) {
-        // These features poll or serialize the whole pipe per event;
-        // they need the classic single-queue driver.
-        std::cerr << "olight_cli: --trace/--sample/--flush require "
-                     "the sequential driver; forcing --sim-jobs 1\n";
+    if (sim_jobs > 1 && (!sample_path.empty() || flush)) {
+        // These features poll the whole pipe per event; they need
+        // the classic single-queue driver.
+        std::cerr << "olight_cli: --sample/--flush require the "
+                     "sequential driver; forcing --sim-jobs 1\n";
         sim_jobs = 1;
     }
     if (!profile_path.empty() && sim_jobs <= 1) {
@@ -201,12 +197,6 @@ main(int argc, char **argv)
 
     auto w = makeWorkload(workload);
     w->build(cfg, elements);
-
-    if (!trace_path.empty() && !trace_json_path.empty()) {
-        std::cerr << "--trace and --trace-json are exclusive (one "
-                     "trace sink per run)\n";
-        return 2;
-    }
 
     // Output streams are declared before the System so the
     // TraceWriter can still flush its JSON footer when the System
@@ -232,12 +222,9 @@ main(int argc, char **argv)
                                                        cfg, 0);
         sys.enableRecording(*log_writer);
     }
-    if (!trace_path.empty()) {
-        open_out(trace_file, trace_path);
-        sys.enableTrace(trace_file, TraceFormat::Csv);
-    } else if (!trace_json_path.empty()) {
+    if (!trace_json_path.empty()) {
         open_out(trace_file, trace_json_path);
-        sys.enableTrace(trace_file, TraceFormat::ChromeJson);
+        sys.enableTrace(trace_file);
     }
     if (!sample_path.empty()) {
         open_out(sample_file, sample_path);
